@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .fock import (
 )
 from .pipeline import (
     ChannelSection,
-    ExperimentConfig,
+    ReconstructionSection,
     StateSection,
     apply_link,
     load_config,
@@ -74,11 +75,16 @@ def _angles_from_arg(raw: str) -> list[float]:
     return [math.radians(d) for d in degs]
 
 
-def _edges_from_args(args) -> np.ndarray:
-    n = int(round((args.bin_max - args.bin_min) / args.bin_width))
-    if n < 1:
-        raise ValidationError("bin grid is degenerate")
-    return np.linspace(args.bin_min, args.bin_max, n + 1)
+def _reconstruction_config(args) -> ReconstructionConfig:
+    """The reconstruct/bootstrap flags as a config, built the way the pipeline builds it."""
+    return ReconstructionSection(
+        nmax=args.nmax,
+        bin_width=args.bin_width,
+        bin_min=args.bin_min,
+        bin_max=args.bin_max,
+        max_iters=args.max_iters,
+        loglik_tol=args.loglik_tol,
+    ).to_config(args.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     ds = load_samples_csv(args.samples)
-    overrides = None
+    config = _reconstruction_config(args)
     if args.true_angles_deg:
         overrides = {}
         for pair in args.true_angles_deg.split(","):
@@ -193,14 +199,7 @@ def _cmd_reconstruct(args) -> int:
                 overrides[math.radians(float(nom))] = math.radians(float(true))
             except ValueError as exc:
                 raise ValidationError(f"bad angle override {pair!r}") from exc
-    config = ReconstructionConfig(
-        nmax=args.nmax,
-        bin_edges=_edges_from_args(args),
-        eta_correction=args.eta,
-        max_iters=args.max_iters,
-        loglik_tol=args.loglik_tol,
-        angle_overrides=overrides,
-    )
+        config = replace(config, angle_overrides=overrides)
     result = mle_reconstruct(ds, config)
     save_density_matrix(result.rho, args.out_rho)
     metrics = dict(result.metrics)
@@ -254,16 +253,9 @@ def _cmd_fit_spectrum(args) -> int:
 def _cmd_bootstrap(args) -> int:
     rho = load_density_matrix(args.rho)
     angles = _angles_from_arg(args.angles_deg)
-    config = ReconstructionConfig(
-        nmax=args.nmax,
-        bin_edges=_edges_from_args(args),
-        eta_correction=args.eta,
-        max_iters=args.max_iters,
-        loglik_tol=args.loglik_tol,
-    )
     boot = bootstrap_metric(
         rho,
-        config,
+        _reconstruction_config(args),
         per_angle_counts={th: args.count for th in angles},
         n_resamples=args.resamples,
         seed=args.seed,
@@ -285,19 +277,7 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        sampling = config.sampling.__class__(
-            angles_deg=config.sampling.angles_deg,
-            per_angle_count=config.sampling.per_angle_count,
-            seed=args.seed,
-        )
-        config = ExperimentConfig(
-            state=config.state,
-            channel=config.channel,
-            detection=config.detection,
-            sampling=sampling,
-            reconstruction=config.reconstruction,
-            outputs=config.outputs,
-        )
+        config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
     print(run.report.to_json())
     if not run.report.metrics["converged"]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fock import FockDensityMatrix, loss_adjoint
+from .fock import FockDensityMatrix, loss_adjoint, phase_diffusion
 
 DEFAULT_GRID_HALF_RANGE = 8.0
 DEFAULT_GRID_POINTS = 4001
@@ -37,11 +37,6 @@ def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
     for n in range(2, nmax + 1):
         out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
     return out
-
-
-def fock_wavefunction(n: int, x: np.ndarray) -> np.ndarray:
-    """Single wavefunction psi_n on a grid."""
-    return fock_wavefunctions(n, x)[n]
 
 
 def _rotated(rho: FockDensityMatrix, theta: float) -> np.ndarray:
@@ -192,66 +187,24 @@ def sample_with_phase_noise(
     *,
     grid_half_range: float = DEFAULT_GRID_HALF_RANGE,
     grid_points: int = DEFAULT_GRID_POINTS,
-    chunk: int = 2048,
 ) -> np.ndarray:
-    """Homodyne samples with per-sample Gaussian phase jitter.
+    """Homodyne samples with per-sample Gaussian phase jitter of spread sigma.
 
-    For each sample an angle phi ~ Normal(theta, sigma^2) is drawn and one value
-    is taken from the marginal at phi. The per-angle densities are evaluated in
-    bulk through the Fourier decomposition p_phi(x) = sum_k B_k(x) e^{i k phi}.
+    Averaging the marginal over a Normal(theta, sigma^2) angle is the marginal
+    of the phase-diffused state at theta, so this samples that state directly.
     """
     if sigma < 0.0:
         raise ValidationError("sigma must be >= 0")
     if count < 0:
         raise ValidationError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    phis = rng.normal(theta, sigma, size=count)
-    u = rng.random(count)
-
-    grid = _pdf_grid(grid_half_range, grid_points)
-    dx = grid[1] - grid[0]
-    d = rho.dim
-    psi = fock_wavefunctions(rho.nmax, grid)
-
-    # B_k(x) = sum_{n-m=k} rho_mn psi_m psi_n for k = 0..nmax; B_{-k} = conj(B_k).
-    # Real coefficient stack: row 0 -> B_0, rows 1..nmax -> 2 Re B_k, then -2 Im B_k.
-    bmat = np.empty((2 * d - 1, grid.size))
-    diag_terms = np.einsum("m,mg->g", np.diag(rho.entries).real, psi**2)
-    bmat[0] = diag_terms
-    for k in range(1, d):
-        bk = np.einsum("m,mg,mg->g", np.diagonal(rho.entries, offset=k), psi[:-k], psi[k:])
-        bmat[k] = 2.0 * bk.real
-        bmat[d - 1 + k] = -2.0 * bk.imag
-    kvec = np.arange(1, d)
-
-    out = np.empty(count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        ph = phis[start:stop]
-        kphi = np.outer(ph, kvec)
-        basis = np.concatenate(
-            [np.ones((ph.size, 1)), np.cos(kphi), np.sin(kphi)], axis=1
-        )
-        pdf_rows = np.clip(basis @ bmat, 0.0, None)
-        masses = np.trapezoid(pdf_rows, dx=dx, axis=1)
-        if np.any(np.abs(1.0 - masses) > MASS_DEFICIT_TOL):
-            raise NumericsError("phase-jittered marginal mass off the sampling grid")
-        cdf = np.concatenate(
-            [
-                np.zeros((ph.size, 1)),
-                np.cumsum(0.5 * (pdf_rows[:, 1:] + pdf_rows[:, :-1]) * dx, axis=1),
-            ],
-            axis=1,
-        )
-        cdf /= cdf[:, -1:]
-        targets = u[start:stop, None]
-        idx = np.clip((cdf < targets).sum(axis=1), 1, grid.size - 1)
-        rows = np.arange(ph.size)
-        c_lo = cdf[rows, idx - 1]
-        c_hi = cdf[rows, idx]
-        frac = np.where(c_hi > c_lo, (targets[:, 0] - c_lo) / (c_hi - c_lo), 0.0)
-        out[start:stop] = grid[idx - 1] + frac * dx
-    return out
+    return sample_quadratures(
+        phase_diffusion(rho, sigma),
+        theta,
+        count,
+        seed,
+        grid_half_range=grid_half_range,
+        grid_points=grid_points,
+    )
 
 
 # ---------------------------------------------------------------------------

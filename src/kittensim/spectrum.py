@@ -6,15 +6,18 @@ measured with overall efficiency eta, are
     V_x(f) = 1/2 - 2 gamma epsilon eta / ((gamma + epsilon)^2 + (2 pi f)^2)
     V_p(f) = 1/2 + 2 gamma epsilon eta / ((gamma - epsilon)^2 + (2 pi f)^2)
 
-(rates in rad/s, f in Hz, variances in shot-noise units). Gaussian phase noise
-of spread sigma mixes the quadratures before projection onto the measured angle:
+(rates in rad/s, f in Hz, variances in shot-noise units). The excess over
+vacuum is linear in eta, so a detector clearance c(f) scales it per frequency.
+Gaussian phase noise of spread sigma mixes the quadratures before projection
+onto the measured angle, through the phase contrast D = e^{-2 sigma^2}:
 
     V_theta = Vx_s cos^2(theta) + Vp_s sin^2(theta)
-    Vx_s = (1 + e^{-2 sigma^2})/2 Vx + (1 - e^{-2 sigma^2})/2 Vp   (and x <-> p)
+    Vx_s = (1 + D)/2 Vx + (1 - D)/2 Vp   (and x <-> p)
 
 The joint fit recovers (epsilon, eta, sigma) and the true analysis angles from
 variance spectra taken at several nominal angles; gamma and the 0/90 degree
-angles stay fixed.
+angles stay fixed. It fits D rather than sigma, since d/dsigma vanishes at
+sigma = 0 and would hold a fit that reaches that bound.
 """
 
 from __future__ import annotations
@@ -145,18 +148,14 @@ def model_spectrum(
     """Model variance curve at one nominal angle over the given frequencies."""
     freq = np.asarray(freq, dtype=float)
     c = np.ones_like(freq) if clearance is None else np.asarray(clearance, dtype=float)
-    theta = params.true_angle(nominal_angle)
-    out = np.empty_like(freq)
-    # clearance scales the effective efficiency per frequency
-    for value in np.unique(c):
-        mask = c == value
-        vx, vp = spectral_variances(freq[mask], params.gamma, params.epsilon, params.eta * value)
-        out[mask] = dephased_variance(theta, params.sigma, vx, vp)
-    return out
+    vx, vp = spectral_variances(freq, params.gamma, params.epsilon, params.eta)
+    # the excess over vacuum is linear in eta, so the clearance scales it per frequency
+    vx, vp = 0.5 + c * (vx - 0.5), 0.5 + c * (vp - 0.5)
+    return dephased_variance(params.true_angle(nominal_angle), params.sigma, vx, vp)
 
 
 # ---------------------------------------------------------------------------
-# Damped least-squares (Gauss-Newton / Levenberg-Marquardt) fitter
+# Joint fit (box-bounded Levenberg-Marquardt)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -169,77 +168,47 @@ class FitResult:
     per_angle_rms: dict[float, float]
 
 
-def _fd_jacobian(fun, x: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    r0 = fun(x)
-    jac = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        step = 1e-7 * scales[i]
-        xp = x.copy()
-        xp[i] += step
-        jac[:, i] = (fun(xp) - r0) / step
-    return jac
+def _box_least_squares(
+    fun, x: np.ndarray, lower: np.ndarray, upper: np.ndarray, max_outer: int
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Levenberg-Marquardt on the box [lower, upper], steps clipped to the box.
 
-
-def _damped_least_squares(
-    fun,
-    x0: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    scales: np.ndarray,
-    *,
-    cost_tol: float = 1e-10,
-    step_tol: float = 1e-8,
-    max_outer: int = 500,
-) -> tuple[np.ndarray, float, int, bool, bool]:
-    """Gauss-Newton with adaptive Marquardt damping and box projection.
-
-    Returns (x, cost, iterations, converged, projected_any).
+    The Jacobian is a forward difference, taken inward at an upper bound. A
+    parameter on a bound whose gradient points out of the box is held there for
+    the step, so the others converge on that face instead of creeping along it.
+    Stops when the cost drops by less than 1e-10 of itself, the largest step is
+    below 1e-9, or no damped step lowers the cost. Returns (x, residual,
+    iterations, converged).
     """
-    x = np.clip(x0, lower, upper)
+    x = np.clip(x, lower, upper)
     r = fun(x)
-    cost = float(r @ r)
     lam = 1e-3
-    projected_any = False
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_outer + 1):
-        jac = _fd_jacobian(fun, x, scales)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        diag = np.maximum(np.diag(hess), 1e-12)
-        accepted = False
+    for iteration in range(1, max_outer + 1):
+        jac = np.empty((r.size, x.size))
+        for i in range(x.size):
+            dx = np.zeros_like(x)
+            dx[i] = -1e-7 if x[i] + 1e-7 > upper[i] else 1e-7
+            jac[:, i] = (fun(x + dx) - r) / dx[i]
+        grad, hess = jac.T @ r, jac.T @ jac
+        free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        hess = hess[np.ix_(free, free)]
+        damping = np.diag(np.maximum(np.diag(hess), 1e-12))
         for _ in range(25):
-            try:
-                delta = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 5.0
-                continue
-            x_new = np.clip(x + delta, lower, upper)
-            if not np.allclose(x_new, x + delta):
-                projected_here = True
-            else:
-                projected_here = False
+            step = np.zeros_like(x)
+            step[free] = -np.linalg.solve(hess + lam * damping, grad[free])
+            x_new = np.clip(x + step, lower, upper)
             r_new = fun(x_new)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                accepted = True
-                projected_any = projected_any or projected_here
+            if r_new @ r_new <= r @ r:
                 break
             lam *= 5.0
-        if not accepted:
-            converged = True  # damping saturated: stationary within roundoff
-            break
-        step_size = float(np.max(np.abs((x_new - x) / scales)))
-        rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        x, r, cost = x_new, r_new, cost_new
-        lam = max(lam / 3.0, 1e-12)
-        if rel_drop < cost_tol or step_size < step_tol:
-            converged = True
-            break
-    return x, cost, iterations, converged, projected_any
-
-
-SIGMA_SCAN_DEG = (0.0, 10.0, 20.0, 30.0)
+        else:
+            return x, r, iteration, True  # damping saturated: stationary within roundoff
+        drop = (r @ r - r_new @ r_new) / max(r @ r, 1e-300)
+        moved = np.max(np.abs(x_new - x))
+        x, r, lam = x_new, r_new, max(lam / 3.0, 1e-12)
+        if drop < 1e-10 or moved < 1e-9:
+            return x, r, iteration, True
+    return x, r, max_outer, False
 
 
 def joint_fit(
@@ -254,9 +223,16 @@ def joint_fit(
 
     gamma stays fixed; nominal 0 and 90 degree angles are trusted references.
     Residuals are model - data in linear shot-noise units (or in dB when
-    fit_db=True). Deterministic given the data and the initial guess; the
-    default initialization is epsilon = gamma/4, eta = 0.5 and a coarse scan
-    over sigma in {0, 10, 20, 30} degrees.
+    fit_db=True); cost is their plain sum of squares. One box-bounded
+    Levenberg-Marquardt run from a single start fits the phase contrast
+    D = exp(-2 sigma^2) in [exp(-2 pi^2), 1] in place of sigma: the model
+    depends on sigma only through D, so its gradient in sigma vanishes at
+    sigma = 0 while the gradient in D does not. Deterministic given the data and
+    the initial guess; the default initialization is epsilon = gamma/4,
+    eta = 0.5, sigma = 10 degrees and the nominal angles. `iterations` counts
+    Levenberg-Marquardt steps and `max_outer` caps them; a capped fit returns
+    its best point with converged=False. `projected` reports epsilon, eta or D
+    ending on a bound.
     """
     angles = data.nominal_angles
     if len(angles) < 2:
@@ -279,7 +255,7 @@ def joint_fit(
             gamma=gamma,
             epsilon=float(x[0]) * gamma,
             eta=float(x[1]),
-            sigma=float(x[2]),
+            sigma=math.sqrt(0.5 * math.log(1.0 / float(x[2]))),
             theta_true=theta,
         )
 
@@ -292,29 +268,23 @@ def joint_fit(
             model = 10.0 * np.log10(np.maximum(model, 1e-12) / 0.5)
         return model - stacked
 
-    if init is not None:
-        inits = [
-            np.array(
-                [init.epsilon / gamma, init.eta, init.sigma]
-                + [init.true_angle(a) for a in free_angles]
-            )
-        ]
-    else:
-        inits = [
-            np.array([0.25, 0.5, math.radians(s)] + [a for a in free_angles])
-            for s in SIGMA_SCAN_DEG
-        ]
-    start = min(inits, key=lambda x: float(residual(x) @ residual(x)))
-
-    n_free = 3 + len(free_angles)
-    lower = np.concatenate([[0.0, 0.0, 0.0], np.full(len(free_angles), -np.inf)])
-    upper = np.concatenate([[0.999, 1.0, math.pi], np.full(len(free_angles), np.inf)])
-    scales = np.concatenate([[0.1, 0.1, 0.1], np.full(len(free_angles), 0.1)])
-    if start.size != n_free:
-        raise ValidationError("initial guess does not match the free-parameter layout")
-
-    x, cost, iters, converged, projected = _damped_least_squares(
-        residual, start, lower, upper, scales, max_outer=max_outer
+    if init is None:
+        init = SpectrumModelParams(
+            gamma=gamma,
+            epsilon=0.25 * gamma,
+            eta=0.5,
+            sigma=math.radians(10.0),
+            theta_true={a: a for a in angles},
+        )
+    start = np.array(
+        [init.epsilon / gamma, init.eta, math.exp(-2.0 * init.sigma**2)]
+        + [init.true_angle(a) for a in free_angles]
+    )
+    lower = np.concatenate([[0.0, 0.0, math.exp(-2.0 * math.pi**2)],
+                            np.full(len(free_angles), -np.inf)])
+    upper = np.concatenate([[0.999, 1.0, 1.0], np.full(len(free_angles), np.inf)])
+    x, res, iterations, converged = _box_least_squares(
+        residual, start, lower, upper, max_outer
     )
     # non-convergence returns the best-so-far result flagged, never raises
     params = unpack(x)
@@ -323,7 +293,6 @@ def joint_fit(
               for a, t in params.theta_true.items()}
     params = replace(params, theta_true=folded)
 
-    res = residual(x)
     per_angle = {}
     nf = data.freq.size
     for i, a in enumerate(angles):
@@ -331,10 +300,10 @@ def joint_fit(
         per_angle[a] = float(np.sqrt(np.mean(seg**2)))
     return FitResult(
         params=params,
-        cost=cost,
-        iterations=iters,
+        cost=float(res @ res),
+        iterations=iterations,
         converged=converged,
-        projected=projected,
+        projected=bool(np.any((x == lower) | (x == upper))),
         per_angle_rms=per_angle,
     )
 

@@ -9,7 +9,6 @@ the state before detection loss.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,6 @@ from .quadrature import (
     povm_element,
     sample_quadratures,
 )
-from .util import worker_count
 
 PROB_FLOOR = 1e-12
 _ANGLE_TOL = 1e-9
@@ -291,13 +289,7 @@ def bootstrap_metric(
             return None
         return result.metrics["w00"]
 
-    workers = min(worker_count(), n_resamples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(n_resamples)))
-    else:
-        outcomes = [one(i) for i in range(n_resamples)]
-
+    outcomes = [one(i) for i in range(n_resamples)]
     values = np.asarray([v for v in outcomes if v is not None])
     failures = n_resamples - values.size
     if values.size < 2:

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes, hashing, worker-count policy."""
+"""Small shared helpers: atomic file writes and hashing."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-
-from .errors import ValidationError
-
-THREADS_ENV_VAR = "KITTEN_THREADS"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -34,16 +30,3 @@ def sha256_file(path) -> str:
             digest.update(chunk)
     return digest.hexdigest()
 
-
-def worker_count() -> int:
-    """Worker-parallelism cap from the KITTEN_THREADS env var (0/unset = auto)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "0").strip()
-    try:
-        cap = int(raw) if raw else 0
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be >= 0, got {cap}")
-    if cap == 0:
-        return min(os.cpu_count() or 1, 8)
-    return cap

@@ -169,11 +169,72 @@ def test_joint_fit_iteration_cap_returns_flagged_result():
     assert result.cost >= 0.0  # best-so-far result is still populated
 
 
-def test_joint_fit_with_clearance_recovers_eta():
-    # step-shaped detector clearance; ignoring it would bias eta downward
-    clearance = np.select(
-        [FREQ < 2.5e6, FREQ < 5e6, FREQ < 7.5e6], [1.0, 0.9, 0.75], default=0.6
+def test_joint_fit_db_residuals_noiseless_recovery():
+    truth = make_params()
+    result = joint_fit(make_data(truth), GAMMA, fit_db=True)
+    assert result.converged
+    assert result.params.epsilon == pytest.approx(truth.epsilon, rel=1e-6)
+    assert result.params.eta == pytest.approx(truth.eta, rel=1e-6)
+    assert result.params.sigma == pytest.approx(truth.sigma, rel=1e-6)
+    for nominal, true in truth.theta_true.items():
+        assert result.params.true_angle(nominal) == pytest.approx(true, abs=1e-6)
+
+
+def test_joint_fit_escapes_sigma_zero_trap():
+    # the model sees sigma only through exp(-2 sigma^2), whose sigma-gradient
+    # vanishes at sigma = 0; a fit in sigma stalled there on these spectra
+    theta = {math.radians(k): math.radians(v) for k, v in ((0, 0), (45, 47), (90, 90))}
+    truth = SpectrumModelParams(
+        gamma=GAMMA, epsilon=EPSILON, eta=0.7, sigma=math.radians(12.0), theta_true=theta
     )
+    freq = np.linspace(0.05e6, 10e6, 400)
+    data = SpectrumData(
+        freq=freq, variances={a: model_spectrum(truth, a, freq) for a in theta}
+    )
+    result = joint_fit(data, GAMMA)
+    assert result.converged
+    assert result.params.eta == pytest.approx(0.7, abs=0.01)
+    assert math.degrees(result.params.sigma) == pytest.approx(12.0, abs=0.5)
+    assert math.degrees(result.params.true_angle(math.radians(45))) == pytest.approx(
+        47.0, abs=0.5
+    )
+
+
+@pytest.mark.parametrize(
+    "eta, sigma_deg, seed",
+    [(0.462, 0.0, 1), (1.0, 5.0, 0)],
+    ids=["sigma-zero", "eta-one"],
+)
+def test_joint_fit_converges_on_a_bound(eta, sigma_deg, seed):
+    # noisy spectra whose best fit lies on a bound: the fit must stop there,
+    # not step outside the box or creep along the bound until the cap
+    truth = make_params(eta=eta, sigma_deg=sigma_deg)
+    rng = np.random.default_rng(seed)
+    data = SpectrumData(
+        freq=FREQ,
+        variances={
+            a: model_spectrum(truth, a, FREQ) * (1.0 + 0.01 * rng.standard_normal(FREQ.size))
+            for a in NOMINAL
+        },
+    )
+    result = joint_fit(data, GAMMA)
+    assert result.converged
+    assert result.projected
+    assert result.params.eta == pytest.approx(eta, abs=0.01)
+    assert math.degrees(result.params.sigma) == pytest.approx(sigma_deg, abs=1.0)
+
+
+@pytest.mark.parametrize(
+    "clearance",
+    [
+        # step-shaped detector clearance; ignoring it would bias eta downward
+        np.select([FREQ < 2.5e6, FREQ < 5e6, FREQ < 7.5e6], [1.0, 0.9, 0.75], default=0.6),
+        # smooth roll-off: a distinct clearance value at every frequency
+        1.0 / (1.0 + (FREQ / 20e6) ** 2),
+    ],
+    ids=["step", "smooth"],
+)
+def test_joint_fit_with_clearance_recovers_eta(clearance):
     truth = make_params()
     data = make_data(truth, clearance=clearance)
     result = joint_fit(data, GAMMA)
