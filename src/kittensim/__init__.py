@@ -37,7 +37,6 @@ from .quadrature import (
     load_samples_csv,
     marginal_pdf,
     marginal_variance,
-    povm_element,
     sample_quadratures,
     sample_with_phase_noise,
     save_samples_csv,

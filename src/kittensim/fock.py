@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import comb, eval_genlaguerre, gammaln
+from scipy.special import comb, gammaln
 
 from .errors import NumericsError, ValidationError
 
@@ -280,16 +280,17 @@ def loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
     """Heisenberg-picture (adjoint) loss channel sum_k A_k^dag Op A_k.
 
     Maps ideal measurement operators onto their inefficient-detector versions;
-    unital (identity maps to identity). Operates on plain matrices.
+    unital (identity maps to identity). Acts on the last two axes, so a stack
+    of operators of shape (..., d, d) is mapped in one pass; real input stays real.
     """
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"adjoint loss needs eta in (0, 1], got {eta}")
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    out = np.zeros_like(op)
+    op = np.asarray(op)
+    d = op.shape[-1]
+    out = np.zeros(op.shape, dtype=np.result_type(op, float))
     for k in range(d):
         amp = _loss_amplitudes(d, eta, k)
-        out[k:, k:] += op[: d - k, : d - k] * np.outer(amp, amp)
+        out[..., k:, k:] += op[..., : d - k, : d - k] * np.outer(amp, amp)
     return out
 
 
@@ -315,30 +316,35 @@ def phase_diffusion(rho: FockDensityMatrix, sigma: float) -> FockDensityMatrix:
 # ---------------------------------------------------------------------------
 
 def wigner(rho: FockDensityMatrix, x, p) -> np.ndarray | float:
-    """Wigner function W(x, p) via the Fock-basis Laguerre kernel.
+    """Wigner function W(x, p) via the iterative Fock-basis Laguerre recurrence.
 
+    W_mn(alpha), alpha = (x + i p)/sqrt(2), is built row by row as in QuTiP's
+    iterative method (Johansson, Nation & Nori, CPC 183, 1760, 2012):
+    W_0n = 2 alpha W_0,n-1 / sqrt(n) and
+    W_mn = (2 conj(alpha) W_m-1,n - sqrt(m) W_m-1,n-1) / sqrt(m) along each row.
     Broadcasts over array-valued x, p. Normalized so that the full-plane
     integral is 1 and |W| <= 1/pi for any physical state.
     """
     x_arr, p_arr = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
-    r2 = x_arr**2 + p_arr**2
-    base = np.exp(-r2) / math.pi
-    beta = x_arr - 1j * p_arr
+    alpha = (x_arr + 1j * p_arr) / math.sqrt(2.0)
+    ent = rho.entries
     d = rho.dim
-    total = np.zeros(x_arr.shape, dtype=complex)
-    for m in range(d):
-        for n in range(m + 1):
-            k = m - n
-            coef = math.exp(0.5 * (k * math.log(2.0) + gammaln(n + 1) - gammaln(m + 1)))
-            kern = ((-1.0) ** n) * coef * eval_genlaguerre(n, k, 2.0 * r2)
-            if k == 0:
-                total += rho.entries[m, n].real * kern
-            else:
-                total += 2.0 * (rho.entries[m, n] * kern * beta**k).real
-    w = (total.real * base)
-    if w.ndim == 0:
-        return float(w)
-    return w
+    row = [np.exp(-(x_arr**2 + p_arr**2)) / math.pi + 0j]
+    total = ent[0, 0].real * row[0].real
+    for n in range(1, d):
+        row.append(2.0 * alpha * row[n - 1] / math.sqrt(n))
+        total += 2.0 * (ent[0, n] * row[n]).real
+    for m in range(1, d):
+        prev = row[m]
+        row[m] = (2.0 * alpha.conj() * prev - math.sqrt(m) * row[m - 1]) / math.sqrt(m)
+        total += ent[m, m].real * row[m].real
+        for n in range(m + 1, d):
+            nxt = (2.0 * alpha * row[n - 1] - math.sqrt(m) * prev) / math.sqrt(n)
+            prev, row[n] = row[n], nxt
+            total += 2.0 * (ent[m, n] * row[n]).real
+    if total.ndim == 0:
+        return float(total)
+    return total
 
 
 def wigner_origin(rho: FockDensityMatrix) -> float:

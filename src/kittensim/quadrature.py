@@ -1,4 +1,4 @@
-"""Homodyne measurement model: rotated quadrature marginals, POVMs and sampling.
+"""Homodyne measurement model: rotated quadrature marginals and sampling.
 
 The measured observable at local-oscillator angle theta is
 q_theta = x cos(theta) + p sin(theta), realized on Fock-basis density matrices
@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fock import FockDensityMatrix, loss_adjoint, phase_diffusion
+from .fock import FockDensityMatrix, phase_diffusion
 
 DEFAULT_GRID_HALF_RANGE = 8.0
 DEFAULT_GRID_POINTS = 4001
@@ -78,58 +78,6 @@ def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:
     second = 0.5 * (2.0 * (a2 * np.exp(2j * theta)).real + 2.0 * mean_n + 1.0)
     mean_q = math.sqrt(2.0) * (a1 * np.exp(1j * theta)).real
     return float(second - mean_q**2)
-
-
-# ---------------------------------------------------------------------------
-# POVM elements
-# ---------------------------------------------------------------------------
-
-def _bin_overlaps(nmax: int, x_lo: float, x_hi: float) -> np.ndarray:
-    """Integrals O_mn = int_{x_lo}^{x_hi} psi_m(x) psi_n(x) dx.
-
-    Composite Gauss-Legendre quadrature; infinite edges are clipped where the
-    wavefunctions have decayed to numerical zero.
-    """
-    far = max(10.0, math.sqrt(2.0 * nmax + 1.0) + 8.0)
-    lo = max(x_lo, -far)
-    hi = min(x_hi, far)
-    if hi <= lo:
-        return np.zeros((nmax + 1, nmax + 1))
-    n_panels = max(1, int(math.ceil((hi - lo) / 0.5)))
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
-    xs = (centers[:, None] + half * nodes[None, :]).ravel()
-    ws = np.broadcast_to(half * weights[None, :], (n_panels, nodes.size)).ravel()
-    psi = fock_wavefunctions(nmax, xs)
-    return np.einsum("mg,g,ng->mn", psi, ws, psi)
-
-
-def povm_element(
-    theta: float,
-    x_lo: float,
-    x_hi: float,
-    eta: float = 1.0,
-    nmax: int = 12,
-) -> np.ndarray:
-    """POVM element of an inefficient homodyne detector for one quadrature bin.
-
-    The ideal binned projector int_bin |x_theta><x_theta| dx is propagated
-    through the adjoint loss channel of efficiency eta, so that reconstruction
-    with these elements refers to the state *before* the detection loss.
-    Use -inf / +inf for the open-ended edge bins.
-    """
-    if not x_lo < x_hi:
-        raise ValidationError(f"empty quadrature bin [{x_lo}, {x_hi}]")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"detector efficiency must lie in (0, 1], got {eta}")
-    overlaps = _bin_overlaps(nmax, x_lo, x_hi)
-    n = np.arange(nmax + 1)
-    ideal = overlaps * np.exp(1j * theta * (n[:, None] - n[None, :]))
-    if eta == 1.0:
-        return ideal
-    return loss_adjoint(ideal, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +165,19 @@ class QuadratureDataset:
 
     angles: np.ndarray
     values: np.ndarray
-    normalization: float = 1.0
-    angle_set: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         angles = np.asarray(self.angles, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if angles.shape != values.shape or angles.ndim != 1:
             raise ValidationError("angles and values must be 1-D arrays of equal length")
-        if self.normalization <= 0.0:
-            raise ValidationError("normalization must be positive")
-        angle_set = (
-            np.unique(angles) if self.angle_set is None else np.asarray(self.angle_set, float)
-        )
-        present = np.unique(angles)
-        missing = present[~np.isin(present, angle_set)]
-        if missing.size:
-            raise ValidationError(
-                f"samples tagged with angles outside the declared set: {missing}"
-            )
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "angle_set", angle_set)
+
+    @property
+    def angle_set(self) -> np.ndarray:
+        """The distinct nominal angles, sorted."""
+        return np.unique(self.angles)
 
     def __len__(self) -> int:
         return self.values.size

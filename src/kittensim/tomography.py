@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import KittenError, NumericsError, ValidationError
-from .fock import FockDensityMatrix, loss_channel, wigner_origin
+from .fock import FockDensityMatrix, loss_adjoint, loss_channel, wigner_origin
 from .quadrature import (
     QuadratureDataset,
     dataset_from_angle_blocks,
+    fock_wavefunctions,
     marginal_variance,
-    povm_element,
     sample_quadratures,
 )
 
@@ -77,7 +77,7 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
     edges = config.bin_edges
-    angles = np.asarray(sorted(dataset.angle_set))
+    angles = dataset.angle_set
     counts = np.zeros((angles.size, edges.size + 1), dtype=float)
     for i, th in enumerate(angles):
         vals = dataset.for_angle(th, _ANGLE_TOL)
@@ -93,25 +93,38 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     )
 
 
-def _bin_bounds(edges: np.ndarray) -> list[tuple[float, float]]:
-    bounds = [(-math.inf, float(edges[0]))]
-    bounds.extend((float(a), float(b)) for a, b in zip(edges[:-1], edges[1:]))
-    bounds.append((float(edges[-1]), math.inf))
-    return bounds
-
-
 def build_povm_stack(
     angles: np.ndarray, edges: np.ndarray, eta: float, nmax: int
 ) -> np.ndarray:
-    """Stacked POVM elements, shape (n_angles * (n_bins + 2), dim, dim)."""
-    bounds = _bin_bounds(edges)
-    stack = np.empty((angles.size * len(bounds), nmax + 1, nmax + 1), dtype=complex)
-    j = 0
-    for th in angles:
-        for lo, hi in bounds:
-            stack[j] = povm_element(float(th), lo, hi, eta, nmax)
-            j += 1
-    return stack
+    """Stacked POVM elements, shape (n_angles * (n_bins + 2), dim, dim), angle-major.
+
+    Loss commutes with phase rotation, so every element is U(theta) L_j U(theta)^dag
+    with a real, angle-independent L_j (Lvovsky, J. Opt. B 6, S556, 2004). The
+    bin overlaps int_bin psi_m psi_n dx come from one wavefunction evaluation
+    (16-node Gauss-Legendre per panel of width <= 0.5; the open edge bins are
+    clipped where the wavefunctions have decayed to numerical zero), the
+    adjoint loss channel is applied once per bin, and each angle is a phase.
+    """
+    angles = np.asarray(angles, dtype=float)
+    d = nmax + 1
+    far = max(10.0, math.sqrt(2.0 * nmax + 1.0) + 8.0)
+    bounds = np.clip(np.concatenate([[-far], edges, [far]]), -far, far)
+    width = np.diff(bounds)
+    # a bin wholly past the cutoff has zero width, so its one panel weighs 0
+    panels = np.maximum(1, np.ceil(width / 0.5)).astype(int)
+    first = np.cumsum(panels) - panels
+    step = np.repeat(width / panels, panels)[:, None]
+    index_in_bin = np.arange(panels.sum()) - np.repeat(first, panels)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    xs = np.repeat(bounds[:-1], panels)[:, None] + step * (
+        index_in_bin[:, None] + 0.5 * (1.0 + nodes)
+    )
+    psi = fock_wavefunctions(nmax, xs.ravel()).reshape(d, *xs.shape)
+    per_panel = np.einsum("mpg,pg,npg->pmn", psi, 0.5 * step * weights, psi)
+    block = loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
+    n = np.arange(d)
+    phases = np.exp(1j * angles[:, None, None] * (n[:, None] - n[None, :]))
+    return (phases[:, None] * block[None]).reshape(-1, d, d)
 
 
 @dataclass(frozen=True)
@@ -257,6 +270,8 @@ def bootstrap_metric(
     Each resample draws fresh datasets from the marginals of the reconstructed
     state as seen by the detector (rho pushed through the detection loss when
     eta_correction < 1), re-runs the same reconstruction, and records W(0,0).
+    With config.angle_overrides the samples are drawn at the override (true)
+    angles and tagged with the nominal ones, as the measured data were.
     Result is flagged invalid when more than 10% of resamples fail.
     """
     if n_resamples < 2:
@@ -269,17 +284,18 @@ def bootstrap_metric(
         else rho
     )
     angles = sorted(per_angle_counts)
+    draw_angles = _resolve_angles(np.asarray(angles), config.angle_overrides)
     root = np.random.SeedSequence(seed)
     resample_seeds = root.spawn(n_resamples)
 
     def one(idx: int) -> float | None:
         child = resample_seeds[idx].spawn(len(angles))
         blocks = {}
-        for k, th in enumerate(angles):
+        for k, (th, drawn) in enumerate(zip(angles, draw_angles)):
             # derive a plain integer seed for the sampler from the sequence
             sub_seed = int(child[k].generate_state(1)[0])
             blocks[th] = sample_quadratures(
-                detected, th, per_angle_counts[th], seed=sub_seed
+                detected, float(drawn), per_angle_counts[th], seed=sub_seed
             )
         try:
             result = mle_reconstruct(dataset_from_angle_blocks(blocks), config)

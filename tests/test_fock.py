@@ -172,6 +172,22 @@ def test_wigner_gaussian_peak(sqz_state):
     )
 
 
+def test_wigner_coherent_state_closed_form():
+    # off-diagonal terms with a phase: W of |alpha> is a unit Gaussian centred
+    # on (sqrt(2) Re alpha, sqrt(2) Im alpha)
+    ax = np.linspace(-4.0, 4.0, 41)
+    x, p = np.meshgrid(ax, ax, indexing="ij")
+    n = np.arange(31)
+    for alpha in (0.8 + 0.5j, -1.1 + 0.7j):
+        log_norm = np.array([0.5 * math.lgamma(k + 1.0) for k in n])
+        amps = np.exp(-0.5 * abs(alpha) ** 2 - log_norm) * alpha**n
+        rho = FockDensityMatrix(nmax=30, entries=np.outer(amps, amps.conj()))
+        x0, p0 = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+        expected = np.exp(-((x - x0) ** 2) - (p - p0) ** 2) / math.pi
+        np.testing.assert_allclose(wigner(rho, x, p), expected, rtol=0, atol=1e-12)
+        assert wigner(rho, x0, p0) == pytest.approx(1.0 / math.pi, abs=1e-12)
+
+
 def test_wigner_grid_normalization(kitten):
     ax = np.linspace(-5.0, 5.0, 161)
     x, p = np.meshgrid(ax, ax, indexing="ij")

