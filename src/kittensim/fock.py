@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import comb, gammaln
 
 from .errors import NumericsError, ValidationError
 
@@ -172,7 +170,9 @@ def gaussian_state(
 
     a = annihilation_matrix(dim_work)
     generator = 0.5 * r * (a @ a - a.T @ a.T)  # real antisymmetric
-    squeezer = expm(generator)
+    # exp(G) = exp(-iH) with H = iG Hermitian; real because G is
+    lam, vec = np.linalg.eigh(1j * generator)
+    squeezer = ((vec * np.exp(-1j * lam)) @ vec.conj().T).real
     rho_w = squeezer @ rho_w @ squeezer.T
 
     cut = rho_w[: nmax + 1, : nmax + 1]
@@ -215,7 +215,8 @@ def cat_state(
 
     n = np.arange(nmax + 1)
     keep = n % 2 == rem
-    logc = np.where(keep, n * math.log(alpha) - 0.5 * gammaln(n + 1.0), -np.inf)
+    log_fact = np.fromiter(map(math.lgamma, range(1, nmax + 2)), float, nmax + 1)
+    logc = np.where(keep, n * math.log(alpha) - 0.5 * log_fact, -np.inf)
     coeff = np.exp(logc)
     included = float((coeff**2).sum())
     # Untruncated norm of the parity-projected coherent amplitudes:
@@ -257,7 +258,8 @@ def _loss_amplitudes(dim: int, eta: float, k: int) -> np.ndarray:
     A_k |n> = sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>; returned for n = k..dim-1.
     """
     n = np.arange(k, dim)
-    return np.sqrt(comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    binom = np.array([math.comb(m, k) for m in range(k, dim)], dtype=float)
+    return np.sqrt(binom * eta ** (n - k) * (1.0 - eta) ** k)
 
 
 def loss_channel(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:

@@ -48,9 +48,8 @@ def marginal_pdf(rho: FockDensityMatrix, theta: float, x: np.ndarray) -> np.ndar
     """Probability density of the quadrature q_theta at the points x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     psi = fock_wavefunctions(rho.nmax, x)
-    rot = _rotated(rho, theta)
-    pdf = np.einsum("mg,mn,ng->g", psi, rot, psi).real
-    return pdf
+    # psi is real, so only the real part of the rotated matrix contributes
+    return np.einsum("mg,mg->g", psi, _rotated(rho, theta).real @ psi)
 
 
 def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:

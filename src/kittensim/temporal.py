@@ -342,34 +342,37 @@ def save_trace_csv(trace: TimeTrace, path) -> None:
 
 
 def load_trace_csv(path) -> TimeTrace:
+    """Read a trace file written by save_trace_csv.
+
+    The '# key=value' metadata lines and the 'value' column name come first;
+    every later non-blank line is one sample, converted in one numpy call.
+    """
     path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     sample_rate = None
     trigger_index = 0
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                key = key.strip()
-                if key == "sample_rate_hz":
-                    sample_rate = float(val)
-                elif key == "trigger_index":
-                    trigger_index = int(val)
-                continue
-            if line == "value":
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed trace line {line!r}") from exc
+    head = 0
+    for line in lines:
+        line = line.strip()
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            key = key.strip()
+            if key == "sample_rate_hz":
+                sample_rate = float(val)
+            elif key == "trigger_index":
+                trigger_index = int(val)
+        elif line and line != "value":
+            break
+        head += 1
     if sample_rate is None:
         raise ValidationError(f"{path}: missing '# sample_rate_hz=' metadata")
-    return TimeTrace(
-        sample_rate=sample_rate, values=np.asarray(values), trigger_index=trigger_index
-    )
+    body = [line for line in lines[head:] if line.strip()]
+    try:
+        values = np.array(body, dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed trace line ({exc})") from exc
+    return TimeTrace(sample_rate=sample_rate, values=values, trigger_index=trigger_index)
 
 
 def load_trace_dir(directory) -> tuple[np.ndarray, float, np.ndarray]:

@@ -93,19 +93,15 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     )
 
 
-def build_povm_stack(
-    angles: np.ndarray, edges: np.ndarray, eta: float, nmax: int
-) -> np.ndarray:
-    """Stacked POVM elements, shape (n_angles * (n_bins + 2), dim, dim), angle-major.
+def _povm_block(edges: np.ndarray, eta: float, nmax: int) -> np.ndarray:
+    """Real, angle-independent POVM elements L_j, shape (n_bins + 2, dim, dim).
 
-    Loss commutes with phase rotation, so every element is U(theta) L_j U(theta)^dag
-    with a real, angle-independent L_j (Lvovsky, J. Opt. B 6, S556, 2004). The
-    bin overlaps int_bin psi_m psi_n dx come from one wavefunction evaluation
-    (16-node Gauss-Legendre per panel of width <= 0.5; the open edge bins are
-    clipped where the wavefunctions have decayed to numerical zero), the
-    adjoint loss channel is applied once per bin, and each angle is a phase.
+    L_j is the theta = 0 element of bin j with the detector efficiency folded
+    in. The bin overlaps int_bin psi_m psi_n dx come from one wavefunction
+    evaluation (16-node Gauss-Legendre per panel of width <= 0.5; the open
+    edge bins are clipped where the wavefunctions have decayed to numerical
+    zero), and the adjoint loss channel is applied once per bin.
     """
-    angles = np.asarray(angles, dtype=float)
     d = nmax + 1
     far = max(10.0, math.sqrt(2.0 * nmax + 1.0) + 8.0)
     bounds = np.clip(np.concatenate([[-far], edges, [far]]), -far, far)
@@ -121,10 +117,30 @@ def build_povm_stack(
     )
     psi = fock_wavefunctions(nmax, xs.ravel()).reshape(d, *xs.shape)
     per_panel = np.einsum("mpg,pg,npg->pmn", psi, 0.5 * step * weights, psi)
-    block = loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
-    n = np.arange(d)
-    phases = np.exp(1j * angles[:, None, None] * (n[:, None] - n[None, :]))
-    return (phases[:, None] * block[None]).reshape(-1, d, d)
+    return loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
+
+
+def _angle_phases(angles: np.ndarray, dim: int) -> np.ndarray:
+    """Phase arrays Phi_a[m, n] = exp(i theta_a (m - n)), shape (n_angles, dim, dim)."""
+    n = np.arange(dim)
+    theta = np.asarray(angles, dtype=float)[:, None, None]
+    return np.exp(1j * theta * (n[:, None] - n[None, :]))
+
+
+def build_povm_stack(
+    angles: np.ndarray, edges: np.ndarray, eta: float, nmax: int
+) -> np.ndarray:
+    """Stacked POVM elements, shape (n_angles * (n_bins + 2), dim, dim), angle-major.
+
+    Loss commutes with phase rotation, so every element is
+    U(theta) L_j U(theta)^dag = Phi(theta) * L_j (element-wise) with the real,
+    angle-independent block L_j of `_povm_block` (Lvovsky, J. Opt. B 6, S556,
+    2004). The reconstruction iterates on the block and the phases directly;
+    this full complex stack is for callers that want the elements themselves.
+    """
+    block = _povm_block(edges, eta, nmax)
+    phases = _angle_phases(angles, nmax + 1)
+    return (phases[:, None] * block[None]).reshape(-1, nmax + 1, nmax + 1)
 
 
 @dataclass(frozen=True)
@@ -162,24 +178,29 @@ def mle_reconstruct(
     """
     binned = bin_dataset(dataset, config)
     povm_angles = _resolve_angles(binned.angles, config.angle_overrides)
-    stack = build_povm_stack(
-        povm_angles, binned.edges, config.eta_correction, config.nmax
-    )
-    counts = binned.counts.ravel()
-    return _mle_core(stack, counts, binned, config)
+    block = _povm_block(binned.edges, config.eta_correction, config.nmax)
+    return _mle_core(block, _angle_phases(povm_angles, config.nmax + 1), binned, config)
 
 
 def _mle_core(
-    stack: np.ndarray,
-    counts: np.ndarray,
+    block: np.ndarray,
+    phases: np.ndarray,
     binned: BinnedData,
     config: ReconstructionConfig,
 ) -> ReconstructionResult:
+    """R rho R iteration on the real POVM block and one phase array per angle.
+
+    With Pi_aj = Phi_a * L_j (element-wise), p_aj = tr(Pi_aj rho) is
+    Re(Phi_a * rho^T) . L_j and R = sum_a Phi_a * (sum_j c_aj L_j), so each
+    step costs real (n_angles, dim^2) x (dim^2, n_bins + 2) products instead of
+    products with the complex (n_angles * (n_bins + 2), dim^2) stack.
+    """
     d = config.nmax + 1
+    counts = binned.counts
     total = counts.sum()
     if total <= 0:
         raise ValidationError("dataset has no counts")
-    flat = stack.reshape(stack.shape[0], d * d)
+    flat = block.reshape(block.shape[0], d * d)
     active = counts > 0
 
     rho = np.eye(d, dtype=complex) / d
@@ -188,7 +209,7 @@ def _mle_core(
     floored_bins = 0
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        probs = (flat @ rho.T.ravel()).real
+        probs = (phases * rho.T).real.reshape(-1, d * d) @ flat.T
         low = probs < PROB_FLOOR
         floored_bins = int(np.count_nonzero(low & active))
         probs = np.maximum(probs, PROB_FLOOR)
@@ -199,7 +220,7 @@ def _mle_core(
                 converged = True
                 break
         coeff = counts / (total * probs)
-        r_op = (coeff @ flat).reshape(d, d)
+        r_op = np.einsum("amn,amn->mn", phases, (coeff @ flat).reshape(-1, d, d))
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

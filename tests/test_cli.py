@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,3 +267,19 @@ def test_pipeline_seed_override_changes_samples(capsys, tmp_path):
     w_b = json.loads(out_b)["metrics"]["w00"]
     assert w_a != w_b
     assert w_b == pytest.approx(w_a, abs=0.1)  # same physics, different draw
+
+
+def test_cli_import_loads_no_scipy():
+    # the package's only dependency is numpy; a fresh interpreter shows what
+    # `import kittensim.cli` pulls in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, kittensim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

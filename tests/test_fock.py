@@ -27,6 +27,7 @@ from kittensim import (
     wigner,
     wigner_origin,
 )
+from kittensim.fock import _loss_amplitudes
 from kittensim.quadrature import marginal_variance
 
 from conftest import random_density_matrix
@@ -69,6 +70,30 @@ def test_gaussian_state_rejects_uncertainty_violation():
 def test_gaussian_state_truncation_gate():
     with pytest.raises(NumericsError):
         gaussian_state(GaussianStateSpec(variance_from_db(-4.0), variance_from_db(6.0)), nmax=5)
+
+
+@pytest.mark.parametrize("r", [0.6, -0.6])
+def test_gaussian_state_matches_squeezed_vacuum_closed_form(r):
+    # S(r)|0> = sum_n (-tanh r)^n sqrt((2n)!) / (2^n n! sqrt(cosh r)) |2n>
+    nmax = 24
+    spec = GaussianStateSpec(0.5 * math.exp(-2 * r), 0.5 * math.exp(2 * r))
+    rho = gaussian_state(spec, nmax)
+    amp = np.zeros(nmax + 1)
+    for n in range(nmax // 2 + 1):
+        amp[2 * n] = (-math.tanh(r)) ** n * math.sqrt(math.factorial(2 * n)) / (
+            2**n * math.factorial(n) * math.sqrt(math.cosh(r))
+        )
+    expected = np.outer(amp, amp) / (amp @ amp)
+    assert np.max(np.abs(rho.entries - expected)) <= 1e-12
+
+
+def test_loss_amplitudes_match_binomial():
+    eta = 0.88
+    for k in range(21):
+        expected = [
+            math.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k) for n in range(k, 21)
+        ]
+        np.testing.assert_allclose(_loss_amplitudes(21, eta, k), expected, rtol=1e-15, atol=0)
 
 
 def test_purified_spec_is_minimum_uncertainty():

@@ -169,3 +169,13 @@ def test_trace_csv_round_trip(tmp_path):
     assert values.shape == (2, 64)
     assert fs == FS
     assert list(triggers) == [10, 0]
+
+
+def test_trace_csv_rejects_malformed_files(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# sample_rate_hz=500000000.0\nvalue\n0.25\n0.5x\n-1.0\n")
+    with pytest.raises(ValidationError, match="malformed"):
+        load_trace_csv(path)
+    path.write_text("# trigger_index=0\nvalue\n0.25\n-1.0\n")
+    with pytest.raises(ValidationError, match="sample_rate_hz"):
+        load_trace_csv(path)
