@@ -55,7 +55,7 @@ from .temporal import (
 )
 from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct
 from .quadrature import dataset_from_angle_blocks
-from .util import atomic_write_text
+from .util import atomic_write_text, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,16 +75,22 @@ def _angles_from_arg(raw: str) -> list[float]:
     return [math.radians(d) for d in degs]
 
 
+_RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "loglik_tol")
+
+
+def _add_reconstruction_flags(parser: argparse.ArgumentParser) -> None:
+    """The reconstruct/bootstrap flags, with the pipeline's [reconstruction] defaults."""
+    parser.add_argument("--eta", type=float, default=ReconstructionConfig.eta_correction)
+    defaults = ReconstructionSection()
+    for name in _RECONSTRUCTION_FLAGS:
+        value = getattr(defaults, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
+
+
 def _reconstruction_config(args) -> ReconstructionConfig:
     """The reconstruct/bootstrap flags as a config, built the way the pipeline builds it."""
-    return ReconstructionSection(
-        nmax=args.nmax,
-        bin_width=args.bin_width,
-        bin_min=args.bin_min,
-        bin_max=args.bin_max,
-        max_iters=args.max_iters,
-        loglik_tol=args.loglik_tol,
-    ).to_config(args.eta)
+    section = ReconstructionSection(**{name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS})
+    return section.to_config(args.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +226,7 @@ def _cmd_wigner_grid(args) -> int:
     axis = np.linspace(-args.range, args.range, args.points)
     xg, pg = np.meshgrid(axis, axis, indexing="ij")
     w = wigner(rho, xg, pg)
-    lines = ["x,p,w"]
-    for i in range(args.points):
-        for j in range(args.points):
-            lines.append(f"{float(axis[i])!r},{float(axis[j])!r},{float(w[i, j])!r}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, ("x", "p", "w"), (xg.ravel(), pg.ravel(), w.ravel()))
     print(json.dumps({
         "out": str(args.out),
         "points": args.points,
@@ -350,13 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="maximum-likelihood state reconstruction")
     p.add_argument("--samples", required=True)
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--bin-width", type=float, default=0.1)
-    p.add_argument("--bin-min", type=float, default=-6.0)
-    p.add_argument("--bin-max", type=float, default=6.0)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--loglik-tol", type=float, default=1e-9)
+    _add_reconstruction_flags(p)
     p.add_argument("--true-angles-deg", default=None,
                    help="comma list nominal:true overrides, degrees")
     p.add_argument("--out-rho", required=True)
@@ -382,13 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--angles-deg", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--bin-width", type=float, default=0.1)
-    p.add_argument("--bin-min", type=float, default=-6.0)
-    p.add_argument("--bin-max", type=float, default=6.0)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--loglik-tol", type=float, default=1e-9)
+    _add_reconstruction_flags(p)
     p.add_argument("--resamples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .util import atomic_write_text
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -488,8 +489,6 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
 
 
 def save_density_matrix(rho: FockDensityMatrix, path) -> None:
-    from .util import atomic_write_text
-
     atomic_write_text(path, density_matrix_to_json(rho))
 
 

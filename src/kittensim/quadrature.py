@@ -8,19 +8,19 @@ in memory; file formats use degrees.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fock import FockDensityMatrix, phase_diffusion
+from .util import read_csv, write_csv
 
 DEFAULT_GRID_HALF_RANGE = 8.0
 DEFAULT_GRID_POINTS = 4001
 MASS_DEFICIT_TOL = 1e-4
+_SAMPLES_HEADER = ("angle_deg", "value")
 
 
 def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -170,6 +170,8 @@ class QuadratureDataset:
         values = np.asarray(self.values, dtype=float)
         if angles.shape != values.shape or angles.ndim != 1:
             raise ValidationError("angles and values must be 1-D arrays of equal length")
+        if not (np.isfinite(angles).all() and np.isfinite(values).all()):
+            raise ValidationError("angles and values must be finite")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
 
@@ -198,30 +200,9 @@ def dataset_from_angle_blocks(blocks: dict[float, np.ndarray]) -> QuadratureData
 
 
 def save_samples_csv(dataset: QuadratureDataset, path) -> None:
-    from .util import atomic_write_text
-
-    lines = ["angle_deg,value"]
-    degs = np.degrees(dataset.angles)
-    lines.extend(f"{repr(float(a))},{repr(float(v))}" for a, v in zip(degs, dataset.values))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, _SAMPLES_HEADER, (np.degrees(dataset.angles), dataset.values))
 
 
 def load_samples_csv(path) -> QuadratureDataset:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["angle_deg", "value"]:
-            raise ValidationError(f"{path}: expected header 'angle_deg,value'")
-        angles, values = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                angles.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{path}: malformed row {row!r}") from exc
-    return QuadratureDataset(
-        angles=np.radians(np.asarray(angles)), values=np.asarray(values)
-    )
+    _, (degs, values) = read_csv(path, _SAMPLES_HEADER)
+    return QuadratureDataset(angles=np.radians(degs), values=values)

@@ -22,18 +22,19 @@ sigma = 0 and would hold a fit that reaches that bound.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
+from .util import read_csv, write_csv
 
 ANGLE_MATCH_TOL = 1e-9
 _FIXED_ANGLES = (0.0, math.pi / 2)
+_SPECTRUM_HEADER = ("freq_hz", "angle_deg", "variance_snu")
+_CLEARANCE_HEADER = ("freq_hz", "clearance")
 
 
 def spectral_variances(f, gamma: float, epsilon: float, eta: float):
@@ -313,77 +314,41 @@ def joint_fit(
 # ---------------------------------------------------------------------------
 
 def save_spectrum_csv(data: SpectrumData, path) -> None:
-    from .util import atomic_write_text
-
-    lines = ["freq_hz,angle_deg,variance_snu"]
-    for angle in data.nominal_angles:
-        deg = math.degrees(angle)
-        for f, v in zip(data.freq, data.variances[angle]):
-            lines.append(f"{repr(float(f))},{repr(float(deg))},{repr(float(v))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    angles = data.nominal_angles
+    write_csv(path, _SPECTRUM_HEADER, (
+        np.tile(data.freq, len(angles)),
+        np.repeat([math.degrees(a) for a in angles], data.freq.size),
+        np.concatenate([data.variances[a] for a in angles]),
+    ))
 
 
 def load_spectrum_csv(path, clearance_path=None) -> SpectrumData:
-    path = Path(path)
-    by_angle: dict[float, list[tuple[float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "freq_hz",
-            "angle_deg",
-            "variance_snu",
-        ]:
-            raise ValidationError(f"{path}: expected header 'freq_hz,angle_deg,variance_snu'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                f, deg, v = float(row[0]), float(row[1]), float(row[2])
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{path}: malformed row {row!r}") from exc
-            by_angle.setdefault(deg, []).append((f, v))
-    if not by_angle:
+    _, (freqs, degs, values) = read_csv(path, _SPECTRUM_HEADER)
+    if not degs.size:
         raise ValidationError(f"{path}: no spectrum rows")
     freq = None
     variances = {}
-    for deg, rows in by_angle.items():
-        rows.sort()
-        f = np.asarray([r[0] for r in rows])
+    for deg in dict.fromkeys(degs.tolist()):
+        f, v = freqs[degs == deg], values[degs == deg]
+        order = np.lexsort((v, f))
         if freq is None:
-            freq = f
-        elif f.shape != freq.shape or not np.allclose(f, freq):
+            freq = f[order]
+        elif f.size != freq.size or not np.allclose(f[order], freq):
             raise ValidationError(f"{path}: angle {deg} uses a different frequency grid")
-        variances[math.radians(deg)] = np.asarray([r[1] for r in rows])
+        variances[math.radians(deg)] = v[order]
 
     clearance = None
     if clearance_path is not None:
-        cf, cv = [], []
-        with open(clearance_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["freq_hz", "clearance"]:
-                raise ValidationError(f"{clearance_path}: expected header 'freq_hz,clearance'")
-            for row in reader:
-                if not row:
-                    continue
-                cf.append(float(row[0]))
-                cv.append(float(row[1]))
+        _, (cf, cv) = read_csv(clearance_path, _CLEARANCE_HEADER)
         order = np.argsort(cf)
-        cf = np.asarray(cf)[order]
-        cv = np.asarray(cv)[order]
-        if cf.shape != freq.shape or not np.allclose(cf, freq):
+        if cf.size != freq.size or not np.allclose(cf[order], freq):
             raise ValidationError("clearance grid does not match the spectrum grid")
-        clearance = cv
+        clearance = cv[order]
     return SpectrumData(freq=freq, variances=variances, clearance=clearance)
 
 
 def save_clearance_csv(freq: np.ndarray, clearance: np.ndarray, path) -> None:
-    from .util import atomic_write_text
-
-    lines = ["freq_hz,clearance"]
-    lines.extend(f"{repr(float(f))},{repr(float(c))}" for f, c in zip(freq, clearance))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, _CLEARANCE_HEADER, (freq, clearance))
 
 
 def fit_report_json(result: FitResult) -> str:

@@ -11,7 +11,6 @@ per-sample variance s^2 returns variance s^2 (vacuum -> 1/2 in shot-noise units)
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .util import read_csv, write_csv
 
 TAIL_FRACTION_TOL = 1e-3
 _MIN_ENSEMBLE = 1000
@@ -330,49 +330,22 @@ def mode_variance_from_spectrum(
 # ---------------------------------------------------------------------------
 
 def save_trace_csv(trace: TimeTrace, path) -> None:
-    from .util import atomic_write_text
-
-    lines = [
-        f"# sample_rate_hz={repr(float(trace.sample_rate))}",
-        f"# trigger_index={trace.trigger_index}",
-        "value",
-    ]
-    lines.extend(repr(float(v)) for v in trace.values)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    metadata = {
+        "sample_rate_hz": float(trace.sample_rate),
+        "trigger_index": int(trace.trigger_index),
+    }
+    write_csv(path, ("value",), (trace.values,), metadata)
 
 
 def load_trace_csv(path) -> TimeTrace:
-    """Read a trace file written by save_trace_csv.
-
-    The '# key=value' metadata lines and the 'value' column name come first;
-    every later non-blank line is one sample, converted in one numpy call.
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    sample_rate = None
-    trigger_index = 0
-    head = 0
-    for line in lines:
-        line = line.strip()
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            key = key.strip()
-            if key == "sample_rate_hz":
-                sample_rate = float(val)
-            elif key == "trigger_index":
-                trigger_index = int(val)
-        elif line and line != "value":
-            break
-        head += 1
-    if sample_rate is None:
+    """Read a trace file written by save_trace_csv."""
+    metadata, (values,) = read_csv(path, ("value",))
+    if "sample_rate_hz" not in metadata:
         raise ValidationError(f"{path}: missing '# sample_rate_hz=' metadata")
-    body = [line for line in lines[head:] if line.strip()]
-    try:
-        values = np.array(body, dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed trace line ({exc})") from exc
-    return TimeTrace(sample_rate=sample_rate, values=values, trigger_index=trigger_index)
+    trigger_index = metadata.get("trigger_index", 0.0)
+    if not trigger_index.is_integer():
+        raise ValidationError(f"{path}: trigger_index must be an integer")
+    return TimeTrace(metadata["sample_rate_hz"], values, int(trigger_index))
 
 
 def load_trace_dir(directory) -> tuple[np.ndarray, float, np.ndarray]:

@@ -71,22 +71,19 @@ class BinnedData:
 def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> BinnedData:
     """Histogram the samples per nominal angle on the configured bin grid.
 
+    Every distinct angle tag is one angle, so each sample is counted once.
     Samples outside the outermost edges land in the two open-ended edge bins;
     their overall fraction is reported so callers can gate on it.
     """
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
     edges = config.bin_edges
-    angles = dataset.angle_set
-    counts = np.zeros((angles.size, edges.size + 1), dtype=float)
-    for i, th in enumerate(angles):
-        vals = dataset.for_angle(th, _ANGLE_TOL)
-        inner, _ = np.histogram(vals, bins=edges)
-        counts[i, 1:-1] = inner
-        counts[i, 0] = np.count_nonzero(vals < edges[0])
-        counts[i, -1] = np.count_nonzero(vals >= edges[-1])
-        # histogram puts values == edges[-1] into the last interior bin; undo
-        counts[i, -2] -= np.count_nonzero(vals == edges[-1])
+    angles, angle_index = np.unique(dataset.angles, return_inverse=True)
+    # bin 0 is below edges[0]; the last bin takes values >= edges[-1]
+    bins = np.searchsorted(edges, dataset.values, side="right")
+    columns = edges.size + 1
+    counts = np.bincount(angle_index * columns + bins, minlength=angles.size * columns)
+    counts = counts.reshape(angles.size, columns).astype(float)
     out_frac = float((counts[:, 0].sum() + counts[:, -1].sum()) / counts.sum())
     return BinnedData(
         angles=angles, counts=counts, edges=edges, out_of_range_fraction=out_frac
@@ -297,8 +294,8 @@ def bootstrap_metric(
     """
     if n_resamples < 2:
         raise ValidationError("need at least 2 resamples")
-    if not per_angle_counts:
-        raise ValidationError("per_angle_counts must not be empty")
+    if not per_angle_counts or min(per_angle_counts.values()) < 1:
+        raise ValidationError("per_angle_counts must be non-empty and positive")
     detected = (
         loss_channel(rho, config.eta_correction)
         if config.eta_correction < 1.0
@@ -306,6 +303,9 @@ def bootstrap_metric(
     )
     angles = sorted(per_angle_counts)
     draw_angles = _resolve_angles(np.asarray(angles), config.angle_overrides)
+    # every resample bins at the same angles on the same grid: one block, one phase set
+    block = _povm_block(config.bin_edges, config.eta_correction, config.nmax)
+    phases = _angle_phases(draw_angles, config.nmax + 1)
     root = np.random.SeedSequence(seed)
     resample_seeds = root.spawn(n_resamples)
 
@@ -319,7 +319,8 @@ def bootstrap_metric(
                 detected, float(drawn), per_angle_counts[th], seed=sub_seed
             )
         try:
-            result = mle_reconstruct(dataset_from_angle_blocks(blocks), config)
+            binned = bin_dataset(dataset_from_angle_blocks(blocks), config)
+            result = _mle_core(block, phases, binned, config)
         except KittenError:
             return None
         if not result.converged:

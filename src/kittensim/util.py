@@ -1,11 +1,17 @@
-"""Small shared helpers: atomic file writes and hashing."""
+"""Small shared helpers: atomic file writes, the CSV codec, and hashing."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
+
+from .errors import ValidationError
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -23,10 +29,66 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def write_csv(path, header, columns, metadata=None) -> None:
+    """Write `# key=value` metadata lines, the header, then one row per index.
+
+    Every float is written as its repr, so a file read back with read_csv
+    reproduces the columns bit for bit.
+    """
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(header))
+    cells = [map(repr, map(float, c)) for c in columns]
+    lines.extend(map(",".join, zip(*cells)) if len(cells) > 1 else cells[0])
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv(path, header) -> tuple[dict[str, float], np.ndarray]:
+    """Read a file written by write_csv: (metadata, columns of shape (n_columns, rows)).
+
+    Empty lines are skipped. A missing header, a row with the wrong number of
+    fields, or a value or metadata value that is not a finite number raises
+    ValidationError. The rows are parsed in one numpy call.
+    """
+    metadata = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        line = ""
+        for line in fh:
+            line = line.strip()
+            if not line.startswith("#"):
+                if line:
+                    break
+                continue
+            key, _, value = line[1:].partition("=")
+            try:
+                metadata[key.strip()] = float(value)
+            except ValueError:
+                raise ValidationError(f"{path}: bad metadata line {line!r}") from None
+        if [h.strip() for h in line.split(",")] != list(header):
+            raise ValidationError(f"{path}: expected header {','.join(header)!r}")
+        try:
+            if len(header) == 1:
+                # one conversion of the lines: loadtxt's set-up costs more
+                # than parsing a single-column trace file
+                rows = [row for row in fh.read().splitlines() if row]
+                table = np.array(rows, dtype=float).reshape(-1, 1)
+            else:
+                # streams the rows, keeping no Python object per line
+                with warnings.catch_warnings():
+                    # a file without rows is an empty table, not a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed row ({exc})") from exc
+    if table.size and table.shape[1] != len(header):
+        raise ValidationError(f"{path}: malformed rows of {table.shape[1]} fields")
+    if not (np.isfinite(table).all() and all(map(math.isfinite, metadata.values()))):
+        raise ValidationError(f"{path}: non-finite value")
+    return metadata, np.ascontiguousarray(table.T).reshape(len(header), -1)
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 from kittensim import (
     ReconstructionConfig,
+    ReconstructionSection,
     SpectrumData,
     SpectrumModelParams,
+    load_config,
     load_density_matrix,
     load_samples_csv,
     mle_reconstruct,
@@ -20,7 +23,7 @@ from kittensim import (
     save_spectrum_csv,
     wigner_origin,
 )
-from kittensim.cli import main
+from kittensim.cli import build_parser, main
 
 from test_pipeline import small_config
 
@@ -269,17 +272,56 @@ def test_pipeline_seed_override_changes_samples(capsys, tmp_path):
     assert w_b == pytest.approx(w_a, abs=0.1)  # same physics, different draw
 
 
+def test_reconstruction_flag_defaults_match_config_section():
+    section = asdict(ReconstructionSection())
+    del section["bootstrap_resamples"]
+    for argv in (
+        ["reconstruct", "--samples", "s.csv", "--out-rho", "r.json"],
+        ["bootstrap", "--rho", "r.json", "--angles-deg", "0", "--count", "10"],
+    ):
+        args = vars(build_parser().parse_args(argv))
+        assert {key: args[key] for key in section} == section
+        assert args["eta"] == ReconstructionConfig().eta_correction
+
+
+def cli_env(**extra):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+@pytest.mark.parametrize("name", ["local", "transmitted"])
+def test_pipeline_artifacts_do_not_depend_on_blas_threads(tmp_path, name):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+    config = load_config(shipped)
+    ini = tmp_path / "run.ini"
+    save_config(
+        replace(config, reconstruction=replace(config.reconstruction, bootstrap_resamples=2)),
+        ini,
+    )
+    runs = {}
+    for threads in ("1", "2"):
+        runs[threads] = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "kittensim.cli", "pipeline", "--config", str(ini),
+             "--out", str(runs[threads])],
+            env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, check=True,
+        )
+    artifacts = sorted(p.name for p in runs["1"].iterdir() if p.name != "report.json")
+    assert len(artifacts) == 6
+    for artifact in artifacts:
+        one = (runs["1"] / artifact).read_bytes()
+        assert one == (runs["2"] / artifact).read_bytes(), artifact
+
+
 def test_cli_import_loads_no_scipy():
     # the package's only dependency is numpy; a fresh interpreter shows what
     # `import kittensim.cli` pulls in
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, kittensim.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"

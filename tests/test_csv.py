@@ -1,0 +1,83 @@
+"""Every CSV reader goes through one codec and rejects malformed files alike."""
+
+import json
+
+import numpy as np
+import pytest
+
+from kittensim import (
+    ValidationError,
+    load_samples_csv,
+    load_spectrum_csv,
+    load_trace_csv,
+)
+from kittensim.cli import main
+
+SPECTRA = "freq_hz,angle_deg,variance_snu\n1.0,0.0,0.5\n2.0,0.0,0.5\n"
+
+# reader name -> (lines before the header, header, one valid row)
+FORMATS = {
+    "samples": ([], "angle_deg,value", "0.0,0.25"),
+    "spectrum": ([], "freq_hz,angle_deg,variance_snu", "1.0,0.0,0.5"),
+    "clearance": ([], "freq_hz,clearance", "1.0,0.9"),
+    "trace": (["# sample_rate_hz=500000000.0"], "value", "0.25"),
+}
+
+
+def read(name, path):
+    if name == "samples":
+        return load_samples_csv(path)
+    if name == "spectrum":
+        return load_spectrum_csv(path)
+    if name == "trace":
+        return load_trace_csv(path)
+    spectra = path.with_name("spectra.csv")
+    spectra.write_text(SPECTRA)
+    return load_spectrum_csv(spectra, clearance_path=path)
+
+
+def first_field(row, value):
+    return ",".join([value] + row.split(",")[1:])
+
+
+CASES = {
+    "extra-field": lambda meta, header, row: meta + [header, row, row + ",1.0"],
+    "wide-rows": lambda meta, header, row: meta + [header, row + ",1.0", row + ",1.0"],
+    "non-numeric": lambda meta, header, row: meta + [header, row, first_field(row, "abc")],
+    "nan": lambda meta, header, row: meta + [header, first_field(row, "nan"), row],
+    "missing-header": lambda meta, header, row: meta + [row, row],
+    "bad-metadata": lambda meta, header, row: ["# trigger_index=abc"] + meta + [header, row],
+    "nan-metadata": lambda meta, header, row: ["# scale=nan"] + meta + [header, row],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_readers_reject_malformed_files(tmp_path, name, case):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(CASES[case](*FORMATS[name])) + "\n")
+    with pytest.raises(ValidationError, match="bad.csv"):
+        read(name, path)
+
+
+def test_readers_skip_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n# sample_rate_hz=500000000.0\n\n# trigger_index=1\nvalue\n0.25\n\n-1.0\n\n")
+    trace = load_trace_csv(path)
+    assert trace.trigger_index == 1
+    np.testing.assert_array_equal(trace.values, [0.25, -1.0])
+    path.write_text("angle_deg,value\n\n90.0,0.5\n\n")
+    ds = load_samples_csv(path)
+    np.testing.assert_array_equal(ds.angles, [np.pi / 2])
+
+
+@pytest.mark.parametrize("row", ["abc,1.0", "1.0"], ids=["non-numeric", "one-field"])
+def test_fit_spectrum_cli_rejects_malformed_clearance(capsys, tmp_path, row):
+    spectra = tmp_path / "spectra.csv"
+    spectra.write_text(SPECTRA)
+    clearance = tmp_path / "clearance.csv"
+    clearance.write_text(f"freq_hz,clearance\n{row}\n2.0,1.0\n")
+    rc = main(["fit-spectrum", "--spectra", str(spectra), "--clearance", str(clearance)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"

@@ -145,3 +145,13 @@ def test_dataset_missing_angle_rejected(kitten):
 def test_dataset_requires_matching_lengths():
     with pytest.raises(ValidationError):
         QuadratureDataset(angles=np.zeros(3), values=np.zeros(4))
+
+
+@pytest.mark.parametrize("field", ["angles", "values"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dataset_rejects_non_finite_entries(field, bad):
+    # a NaN sample used to be dropped by the binning without a word
+    arrays = {"angles": np.zeros(3), "values": np.array([0.1, -0.4, 0.2])}
+    arrays[field][1] = bad
+    with pytest.raises(ValidationError):
+        QuadratureDataset(**arrays)

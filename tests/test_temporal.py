@@ -179,3 +179,6 @@ def test_trace_csv_rejects_malformed_files(tmp_path):
     path.write_text("# trigger_index=0\nvalue\n0.25\n-1.0\n")
     with pytest.raises(ValidationError, match="sample_rate_hz"):
         load_trace_csv(path)
+    path.write_text("# sample_rate_hz=500000000.0\n# trigger_index=1.5\nvalue\n0.25\n-1.0\n")
+    with pytest.raises(ValidationError, match="trigger_index"):
+        load_trace_csv(path)

@@ -6,6 +6,7 @@ import pytest
 
 from kittensim import (
     NumericsError,
+    QuadratureDataset,
     ReconstructionConfig,
     ValidationError,
     bin_dataset,
@@ -46,6 +47,39 @@ def test_bin_dataset_conserves_counts():
     assert row.sum() == values.size
     expected_frac = (1 + 2 + 1) / (values.size + 4)
     assert binned.out_of_range_fraction == pytest.approx(expected_frac)
+
+
+def test_bin_dataset_counts_each_sample_once():
+    # tags 1e-12 apart are two angles; neither takes the other's samples
+    config = ReconstructionConfig(nmax=4, bin_edges=np.linspace(-1.0, 1.0, 5))
+    dataset = QuadratureDataset(
+        angles=np.array([0.5, 0.5, 0.5 + 1e-12, 1.0]), values=np.array([0.1, -0.2, 0.3, 0.4])
+    )
+    binned = bin_dataset(dataset, config)
+    assert binned.total == 4
+    assert binned.counts.sum(axis=1).tolist() == [2.0, 1.0, 1.0]
+    # a value on an edge opens the bin above it; the last edge is the open upper bin
+    edges = config.bin_edges
+    on_edges = bin_dataset(dataset_from_angle_blocks({0.0: edges}), config)
+    assert on_edges.counts.tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+
+
+def test_bin_dataset_matches_per_angle_histogram():
+    # reference: one np.histogram per angle, with values on the last edge
+    # moved to the open upper bin
+    config = ReconstructionConfig(nmax=4)
+    edges = config.bin_edges
+    rng = np.random.default_rng(5)
+    blocks = {
+        th: np.concatenate([2.5 * rng.standard_normal(400), edges, [-9.0, 9.0]])
+        for th in (0.0, 0.3, 1.2)
+    }
+    binned = bin_dataset(dataset_from_angle_blocks(blocks), config)
+    for row, vals in zip(binned.counts, blocks.values()):
+        inner, _ = np.histogram(vals, bins=edges)
+        inner[-1] -= np.count_nonzero(vals == edges[-1])
+        expected = [np.count_nonzero(vals < edges[0]), *inner, np.count_nonzero(vals >= edges[-1])]
+        np.testing.assert_array_equal(row, expected)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.88])
@@ -290,6 +324,11 @@ def test_bootstrap_requires_successful_resamples(lossy_kitten):
             n_resamples=3,
             seed=4,
         )
+
+
+def test_bootstrap_requires_positive_counts(lossy_kitten):
+    with pytest.raises(ValidationError):
+        bootstrap_metric(lossy_kitten, ReconstructionConfig(nmax=6), {0.0: 100, 1.0: 0})
 
 
 def test_bin_edges_must_increase():
