@@ -37,8 +37,8 @@ from .quadrature import (
     load_samples_csv,
     marginal_pdf,
     marginal_variance,
+    sample_homodyne,
     sample_quadratures,
-    sample_with_phase_noise,
     save_samples_csv,
 )
 from .temporal import (

@@ -31,6 +31,7 @@ from .pipeline import (
     StateSection,
     apply_link,
     load_config,
+    parse_angle_list,
     run_pipeline,
     sample_homodyne_dataset,
     simulate_source_state,
@@ -63,16 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _angles_from_arg(raw: str) -> list[float]:
-    try:
-        degs = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad angle list: {raw!r}") from exc
-    if not degs:
-        raise ValidationError("angle list is empty")
-    return [math.radians(d) for d in degs]
 
 
 _RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "loglik_tol")
@@ -123,12 +114,12 @@ def _cmd_sample(args) -> int:
     rho = load_density_matrix(args.rho)
     if args.hd_eta < 1.0:
         rho = loss_channel(rho, args.hd_eta)
-    angles = _angles_from_arg(args.angles_deg)
-    ds = sample_homodyne_dataset(rho, angles, args.count, args.seed)
+    degs = parse_angle_list(args.angles_deg)
+    ds = sample_homodyne_dataset(rho, [math.radians(d) for d in degs], args.count, args.seed)
     save_samples_csv(ds, args.out)
     print(json.dumps({
         "out": str(args.out),
-        "angles_deg": [math.degrees(a) for a in angles],
+        "angles_deg": list(degs),
         "per_angle_count": args.count,
         "total": len(ds.values),
     }, indent=2, sort_keys=True))
@@ -254,11 +245,11 @@ def _cmd_fit_spectrum(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     rho = load_density_matrix(args.rho)
-    angles = _angles_from_arg(args.angles_deg)
+    degs = parse_angle_list(args.angles_deg)
     boot = bootstrap_metric(
         rho,
         _reconstruction_config(args),
-        per_angle_counts={th: args.count for th in angles},
+        per_angle_counts={math.radians(d): args.count for d in degs},
         n_resamples=args.resamples,
         seed=args.seed,
     )

@@ -29,12 +29,7 @@ from .fock import (
     variance_from_db,
     db_from_variance,
 )
-from .quadrature import (
-    QuadratureDataset,
-    dataset_from_angle_blocks,
-    sample_quadratures,
-    save_samples_csv,
-)
+from .quadrature import QuadratureDataset, sample_homodyne, save_samples_csv
 from .tomography import (
     BootstrapResult,
     ReconstructionConfig,
@@ -94,6 +89,8 @@ class SamplingSection:
     def __post_init__(self) -> None:
         if len(self.angles_deg) < 1:
             raise ValidationError("need at least one sampling angle")
+        if len(set(self.angles_deg)) != len(self.angles_deg):
+            raise ValidationError(f"repeated sampling angle in {list(self.angles_deg)} deg")
         if self.per_angle_count < 1:
             raise ValidationError("per_angle_count must be >= 1")
 
@@ -150,13 +147,26 @@ _BOOL_KEYS = {"subtract", "correct_loss"}
 _INT_KEYS = {"nmax", "per_angle_count", "seed", "max_iters", "bootstrap_resamples"}
 
 
+def parse_angle_list(raw: str) -> tuple[float, ...]:
+    """Parse a comma-separated list of distinct, finite angles in degrees."""
+    try:
+        degs = tuple(float(tok) for tok in raw.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"bad angle list {raw!r}: every entry must be a number") from exc
+    if not all(math.isfinite(d) for d in degs):
+        raise ValidationError(f"bad angle list {raw!r}: every entry must be finite")
+    if len(set(degs)) != len(degs):
+        raise ValidationError(f"bad angle list {raw!r}: each angle may appear once")
+    return degs
+
+
 def _parse_value(section: str, key: str, raw: str):
     raw = raw.strip()
     if key == "angles_deg":
         try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ValidationError(f"[{section}] {key}: bad angle list {raw!r}") from exc
+            return parse_angle_list(raw)
+        except ValidationError as exc:
+            raise ValidationError(f"[{section}] {key}: {exc}") from exc
     if key in _BOOL_KEYS:
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
@@ -283,11 +293,10 @@ def sample_homodyne_dataset(
     Per-angle streams derive from SeedSequence([seed, index]) in list order, so
     any caller with the same (angles, count, seed) reproduces the same dataset.
     """
-    blocks = {}
-    for i, th in enumerate(angles):
-        sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        blocks[float(th)] = sample_quadratures(rho, float(th), count, seed=sub_seed)
-    return dataset_from_angle_blocks(blocks)
+    seeds = [
+        int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(len(angles))
+    ]
+    return sample_homodyne(rho, angles, count, seeds)
 
 
 # ---------------------------------------------------------------------------

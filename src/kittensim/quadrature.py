@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fock import FockDensityMatrix, phase_diffusion
+from .fock import FockDensityMatrix
 from .util import read_csv, write_csv
 
-DEFAULT_GRID_HALF_RANGE = 8.0
-DEFAULT_GRID_POINTS = 4001
+# The fixed inverse-CDF sampling grid; a marginal with more than MASS_DEFICIT_TOL of
+# its mass off the grid is rejected, not truncated.
+SAMPLING_GRID = np.linspace(-8.0, 8.0, 4001)
+SAMPLING_GRID.setflags(write=False)
 MASS_DEFICIT_TOL = 1e-4
 _SAMPLES_HEADER = ("angle_deg", "value")
 
@@ -39,17 +41,28 @@ def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotated(rho: FockDensityMatrix, theta: float) -> np.ndarray:
-    n = np.arange(rho.dim)
-    return rho.entries * np.exp(1j * theta * (n[None, :] - n[:, None]))
+def _angle_phases(angles, dim: int) -> np.ndarray:
+    """Phase arrays Phi_a[m, n] = exp(i theta_a (m - n)), shape (n_angles, dim, dim).
+
+    Phi_a * rho^T (element-wise) is the transpose of the state rotated by
+    theta_a, so its real part gives the marginal on real wavefunctions and,
+    against the real POVM block, the bin probabilities.
+    """
+    n = np.arange(dim)
+    theta = np.asarray(angles, dtype=float)[:, None, None]
+    return np.exp(1j * theta * (n[:, None] - n[None, :]))
+
+
+def _rotated_real(rho: FockDensityMatrix, angles) -> np.ndarray:
+    # psi is real, so only the real part of the rotated matrix contributes
+    return (_angle_phases(angles, rho.dim) * rho.entries.T).real
 
 
 def marginal_pdf(rho: FockDensityMatrix, theta: float, x: np.ndarray) -> np.ndarray:
     """Probability density of the quadrature q_theta at the points x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     psi = fock_wavefunctions(rho.nmax, x)
-    # psi is real, so only the real part of the rotated matrix contributes
-    return np.einsum("mg,mg->g", psi, _rotated(rho, theta).real @ psi)
+    return np.einsum("mg,mg->g", psi, _rotated_real(rho, [theta])[0] @ psi)
 
 
 def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:
@@ -83,75 +96,57 @@ def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _pdf_grid(half_range: float, points: int) -> np.ndarray:
-    if points < 3 or half_range <= 0.0:
-        raise ValidationError("sampling grid must have >= 3 points and positive range")
-    return np.linspace(-half_range, half_range, points)
+def sample_homodyne(
+    rho: FockDensityMatrix,
+    angles,
+    count,
+    seeds,
+    tags=None,
+) -> QuadratureDataset:
+    """Draw homodyne samples at each angle (radians) by inverse-CDF lookup.
 
-
-def _inverse_cdf_sample(grid: np.ndarray, pdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    dx = grid[1] - grid[0]
-    mass = float(np.trapezoid(pdf, dx=dx))
-    if abs(1.0 - mass) > MASS_DEFICIT_TOL:
-        raise NumericsError(
-            f"marginal mass on the sampling grid is {mass:.6f}; "
-            "widen the grid or lower the cutoff"
-        )
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
-    cdf /= cdf[-1]
-    return np.interp(u, cdf, grid)
+    Angle a gets `count` samples (or count[a]) from default_rng(seeds[a]) and
+    the tag tags[a], by default the angle itself; data measured at true angles
+    carry their nominal ones as tags. The wavefunctions are evaluated on
+    SAMPLING_GRID once per call. Raises ValidationError on repeated tags and
+    NumericsError if more than MASS_DEFICIT_TOL of a marginal lies off the grid.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    tags = angles if tags is None else np.asarray(tags, dtype=float)
+    if not angles.size or not tags.shape == angles.shape == (len(seeds),):
+        raise ValidationError("need one or more sampling angles, each with one seed and one tag")
+    counts = np.broadcast_to(np.asarray(count, dtype=int), angles.shape)
+    if np.unique(tags).size != tags.size:
+        raise ValidationError("repeated sampling angle: each angle is drawn once")
+    if np.any(counts < 0):
+        raise ValidationError("count must be >= 0")
+    psi = fock_wavefunctions(rho.nmax, SAMPLING_GRID)
+    dx = SAMPLING_GRID[1] - SAMPLING_GRID[0]
+    blocks = []
+    for theta, rotated, n, seed in zip(angles, _rotated_real(rho, angles), counts, seeds):
+        pdf = np.clip(np.einsum("mg,mg->g", psi, rotated @ psi), 0.0, None)
+        mass = float(np.trapezoid(pdf, dx=dx))
+        if abs(1.0 - mass) > MASS_DEFICIT_TOL:
+            raise NumericsError(
+                f"marginal mass within |x| <= {SAMPLING_GRID[-1]:g} at "
+                f"{math.degrees(theta):.4f} deg is {mass:.6f}; the state is too "
+                "energetic to sample"
+            )
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
+        cdf /= cdf[-1]
+        blocks.append(np.interp(np.random.default_rng(seed).random(n), cdf, SAMPLING_GRID))
+    return QuadratureDataset(angles=np.repeat(tags, counts), values=np.concatenate(blocks))
 
 
 def sample_quadratures(
-    rho: FockDensityMatrix,
-    theta: float,
-    count: int,
-    seed: int,
-    *,
-    grid_half_range: float = DEFAULT_GRID_HALF_RANGE,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    rho: FockDensityMatrix, theta: float, count: int, seed: int
 ) -> np.ndarray:
-    """Draw homodyne samples of q_theta by inverse-CDF lookup on a dense grid.
+    """Homodyne samples of q_theta: the one-angle case of `sample_homodyne`.
 
-    Deterministic for a fixed seed. Raises NumericsError if more than 1e-4 of
-    the probability mass falls outside the grid.
+    Deterministic for a fixed seed. Phase-noisy samples are those of
+    `phase_diffusion(rho, sigma)`.
     """
-    if count < 0:
-        raise ValidationError("count must be >= 0")
-    grid = _pdf_grid(grid_half_range, grid_points)
-    pdf = np.clip(marginal_pdf(rho, theta, grid), 0.0, None)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    return _inverse_cdf_sample(grid, pdf, u)
-
-
-def sample_with_phase_noise(
-    rho: FockDensityMatrix,
-    theta: float,
-    sigma: float,
-    count: int,
-    seed: int,
-    *,
-    grid_half_range: float = DEFAULT_GRID_HALF_RANGE,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> np.ndarray:
-    """Homodyne samples with per-sample Gaussian phase jitter of spread sigma.
-
-    Averaging the marginal over a Normal(theta, sigma^2) angle is the marginal
-    of the phase-diffused state at theta, so this samples that state directly.
-    """
-    if sigma < 0.0:
-        raise ValidationError("sigma must be >= 0")
-    if count < 0:
-        raise ValidationError("count must be >= 0")
-    return sample_quadratures(
-        phase_diffusion(rho, sigma),
-        theta,
-        count,
-        seed,
-        grid_half_range=grid_half_range,
-        grid_points=grid_points,
-    )
+    return sample_homodyne(rho, [theta], count, [seed]).values
 
 
 # ---------------------------------------------------------------------------

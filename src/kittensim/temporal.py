@@ -22,6 +22,10 @@ from .util import read_csv, write_csv
 
 TAIL_FRACTION_TOL = 1e-3
 _MIN_ENSEMBLE = 1000
+# synthesis draws the amplitudes of this many traces at a time and inverse-transforms them
+# in sub-blocks of _FFT_ROWS, so its temporaries stay small beside the output
+_DRAW_ROWS = 2048
+_FFT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -245,8 +249,6 @@ def synthesize_gaussian_traces(
     sample_rate: float,
     count: int,
     seed: int,
-    *,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """Synthesize stationary Gaussian traces with a target one-sided spectrum.
 
@@ -277,18 +279,21 @@ def synthesize_gaussian_traces(
 
     rng = np.random.default_rng(seed)
     amp = np.sqrt(n * v)
+    half = amp / math.sqrt(2.0)
     nyquist = n % 2 == 0
     out = np.empty((count, n))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        block = stop - start
-        re = rng.standard_normal((block, freqs.size))
-        im = rng.standard_normal((block, freqs.size))
-        z = (re + 1j * im) * (amp / math.sqrt(2.0))
-        z[:, 0] = re[:, 0] * amp[0]  # DC bin is real
-        if nyquist:
-            z[:, -1] = re[:, -1] * amp[-1]
-        out[start:stop] = np.fft.irfft(z, n=n, axis=1)
+    for start in range(0, count, _DRAW_ROWS):
+        rows = min(_DRAW_ROWS, count - start)
+        # all real parts of the block, then all imaginary parts: this fixes the stream
+        re = rng.standard_normal((rows, freqs.size))
+        im = rng.standard_normal((rows, freqs.size))
+        for sub in range(0, rows, _FFT_ROWS):
+            part = slice(sub, sub + _FFT_ROWS)
+            z = (re[part] + 1j * im[part]) * half
+            z[:, 0] = re[part, 0] * amp[0]  # DC bin is real
+            if nyquist:
+                z[:, -1] = re[part, -1] * amp[-1]
+            out[start + sub : start + sub + z.shape[0]] = np.fft.irfft(z, n=n, axis=1)
     return out
 
 

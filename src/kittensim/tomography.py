@@ -17,10 +17,10 @@ from .errors import KittenError, NumericsError, ValidationError
 from .fock import FockDensityMatrix, loss_adjoint, loss_channel, wigner_origin
 from .quadrature import (
     QuadratureDataset,
-    dataset_from_angle_blocks,
+    _angle_phases,
     fock_wavefunctions,
     marginal_variance,
-    sample_quadratures,
+    sample_homodyne,
 )
 
 PROB_FLOOR = 1e-12
@@ -115,13 +115,6 @@ def _povm_block(edges: np.ndarray, eta: float, nmax: int) -> np.ndarray:
     psi = fock_wavefunctions(nmax, xs.ravel()).reshape(d, *xs.shape)
     per_panel = np.einsum("mpg,pg,npg->pmn", psi, 0.5 * step * weights, psi)
     return loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
-
-
-def _angle_phases(angles: np.ndarray, dim: int) -> np.ndarray:
-    """Phase arrays Phi_a[m, n] = exp(i theta_a (m - n)), shape (n_angles, dim, dim)."""
-    n = np.arange(dim)
-    theta = np.asarray(angles, dtype=float)[:, None, None]
-    return np.exp(1j * theta * (n[:, None] - n[None, :]))
 
 
 def build_povm_stack(
@@ -302,6 +295,7 @@ def bootstrap_metric(
         else rho
     )
     angles = sorted(per_angle_counts)
+    counts = [per_angle_counts[th] for th in angles]
     draw_angles = _resolve_angles(np.asarray(angles), config.angle_overrides)
     # every resample bins at the same angles on the same grid: one block, one phase set
     block = _povm_block(config.bin_edges, config.eta_correction, config.nmax)
@@ -310,16 +304,11 @@ def bootstrap_metric(
     resample_seeds = root.spawn(n_resamples)
 
     def one(idx: int) -> float | None:
-        child = resample_seeds[idx].spawn(len(angles))
-        blocks = {}
-        for k, (th, drawn) in enumerate(zip(angles, draw_angles)):
-            # derive a plain integer seed for the sampler from the sequence
-            sub_seed = int(child[k].generate_state(1)[0])
-            blocks[th] = sample_quadratures(
-                detected, float(drawn), per_angle_counts[th], seed=sub_seed
-            )
+        # one plain integer sampler seed per angle, derived from the resample's sequence
+        seeds = [int(s.generate_state(1)[0]) for s in resample_seeds[idx].spawn(len(angles))]
+        dataset = sample_homodyne(detected, draw_angles, counts, seeds, tags=angles)
         try:
-            binned = bin_dataset(dataset_from_angle_blocks(blocks), config)
+            binned = bin_dataset(dataset, config)
             result = _mle_core(block, phases, binned, config)
         except KittenError:
             return None

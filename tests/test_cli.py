@@ -89,6 +89,29 @@ def test_sample_is_deterministic(capsys, tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_sample_echoes_the_parsed_degrees(capsys, tmp_path):
+    rho, _ = make_state(capsys, tmp_path)
+    rc, out, _ = run_cli(capsys, "sample", "--rho", str(rho), "--angles-deg", "0,30,12",
+                         "--count", "10", "--out", str(tmp_path / "s.csv"))
+    assert rc == 0
+    summary = json.loads(out)
+    assert summary["angles_deg"] == [0.0, 30.0, 12.0]
+    assert summary["total"] == 30
+    assert len(load_samples_csv(tmp_path / "s.csv")) == 30
+
+
+@pytest.mark.parametrize("command", ["sample", "bootstrap"])
+@pytest.mark.parametrize("angles", ["0,0,30", "0,0", "0,,30"])
+def test_repeated_or_empty_angles_exit_1(capsys, tmp_path, command, angles):
+    rho, _ = make_state(capsys, tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    rc, _, err = run_cli(capsys, command, "--rho", str(rho), "--angles-deg", angles,
+                         "--count", "10", *out)
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_matches_library(capsys, tmp_path):
     rho, _ = make_state(capsys, tmp_path)
     samples = tmp_path / "samples.csv"

@@ -18,11 +18,13 @@ from kittensim import (
     loss_channel,
     run_pipeline,
     sample_homodyne_dataset,
+    sample_quadratures,
     save_config,
     simulate_source_state,
     verify_run_dir,
     wigner_origin,
 )
+from kittensim.pipeline import parse_angle_list
 
 
 def small_config(outputs, **overrides):
@@ -78,6 +80,39 @@ def test_config_rejects_bad_boolean(tmp_path):
 def test_config_missing_file(tmp_path):
     with pytest.raises(ValidationError):
         load_config(tmp_path / "nope.ini")
+
+
+def test_config_rejects_repeated_angles(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[sampling]\nangles_deg = 0, 0, 30\n")
+    with pytest.raises(ValidationError, match="angles_deg"):
+        load_config(path)
+
+
+def test_sampling_section_rejects_repeated_angles():
+    with pytest.raises(ValidationError):
+        SamplingSection(angles_deg=(0.0, 30.0, 0.0))
+    with pytest.raises(ValidationError):
+        SamplingSection(angles_deg=(-0.0, 0.0))
+
+
+@pytest.mark.parametrize("raw", ["", "0,,30", "0,30,", "0,abc", "0,nan", "0,0,30", "30,0.0,-0"])
+def test_angle_list_rejects_empty_bad_and_repeated_entries(raw):
+    with pytest.raises(ValidationError):
+        parse_angle_list(raw)
+
+
+def test_angle_list_keeps_the_degrees_as_written():
+    assert parse_angle_list(" 0, 30,45.5 ,-90") == (0.0, 30.0, 45.5, -90.0)
+
+
+def test_sample_homodyne_dataset_is_seeded_per_angle_index(kitten):
+    angles = [math.radians(d) for d in (90.0, 0.0, 30.0)]
+    dataset = sample_homodyne_dataset(kitten, angles, 40, seed=9)
+    seeds = [int(np.random.SeedSequence([9, i]).generate_state(1)[0]) for i in range(3)]
+    expected = [sample_quadratures(kitten, th, 40, s) for th, s in zip(angles, seeds)]
+    np.testing.assert_array_equal(dataset.values, np.concatenate(expected))
+    np.testing.assert_array_equal(dataset.angles, np.repeat(angles, 40))
 
 
 def test_purity_mix_is_linear_at_the_origin():

@@ -16,8 +16,8 @@ from kittensim import (
     marginal_pdf,
     marginal_variance,
     phase_diffusion,
+    sample_homodyne,
     sample_quadratures,
-    sample_with_phase_noise,
     save_samples_csv,
     variance_from_db,
 )
@@ -94,29 +94,52 @@ def test_phase_noise_sampling_variance_law(sqz_state):
     n = 30_000
     for sigma_deg in (0.0, 10.0, 19.4, 40.0):
         sigma = math.radians(sigma_deg)
-        vals = sample_with_phase_noise(sqz_state, 0.0, sigma, n, seed=int(sigma_deg * 10))
+        diffused = phase_diffusion(sqz_state, sigma)
+        vals = sample_quadratures(diffused, 0.0, n, seed=int(sigma_deg * 10))
         expected = dephased_variance(0.0, sigma, vx, vp)
         se = expected * math.sqrt(2.0 / n)
         assert abs(np.var(vals) - expected) < 3 * se, f"sigma={sigma_deg}"
 
 
-def test_phase_noise_sampling_matches_diffused_state(kitten):
-    # sampling with per-shot phase jitter draws from the same distribution
-    # as sampling the phase-diffused state
-    sigma = 0.35
-    n = 30_000
-    jitter = sample_with_phase_noise(kitten, 0.2, sigma, n, seed=5)
-    diffused = sample_quadratures(phase_diffusion(kitten, sigma), 0.2, n, seed=6)
-    qs = np.linspace(0.05, 0.95, 19)
-    dq = np.quantile(jitter, qs) - np.quantile(diffused, qs)
-    assert np.max(np.abs(dq)) < 0.05
-
-
 def test_sample_grid_mass_gate():
-    # a hot thermal state leaks past a tiny grid and must be rejected
-    hot = gaussian_state(GaussianStateSpec(3.0, 3.0), nmax=48)
+    # a hot thermal state keeps only 0.998909 of its marginal on the +-8 grid
+    # and must be rejected
+    hot = gaussian_state(GaussianStateSpec(6.0, 6.0), nmax=100)
     with pytest.raises(NumericsError):
-        sample_quadratures(hot, 0.0, 10, seed=0, grid_half_range=2.0)
+        sample_quadratures(hot, 0.0, 10, seed=0)
+
+
+def test_sample_homodyne_is_the_per_angle_draws(kitten):
+    # one call draws each angle from its own seed and tags it, exactly as the
+    # one-angle calls do
+    angles = [0.0, 0.4, math.pi / 2]
+    ds = sample_homodyne(kitten, angles, [30, 0, 20], [11, 12, 13], tags=[1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(ds.angles, np.repeat([1.0, 2.0, 3.0], [30, 0, 20]))
+    expected = [
+        sample_quadratures(kitten, th, n, s)
+        for th, n, s in zip(angles, [30, 0, 20], [11, 12, 13])
+    ]
+    np.testing.assert_array_equal(ds.values, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("tags", [[0.0, 0.0, 0.5], [0.5, -0.0, 0.0]])
+def test_sample_homodyne_rejects_repeated_tags(kitten, tags):
+    with pytest.raises(ValidationError):
+        sample_homodyne(kitten, [0.0, 0.3, 0.5], 10, [1, 2, 3], tags=tags)
+    with pytest.raises(ValidationError):
+        sample_homodyne(kitten, tags, 10, [1, 2, 3])
+
+
+def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
+    import kittensim.quadrature as quadrature
+
+    calls = []
+    original = quadrature.fock_wavefunctions
+    monkeypatch.setattr(
+        quadrature, "fock_wavefunctions", lambda *a: calls.append(a) or original(*a)
+    )
+    sample_homodyne(kitten, np.radians([0.0, 30.0, 60.0, 90.0]), 10, [1, 2, 3, 4])
+    assert len(calls) == 1
 
 
 def test_dataset_round_trip(tmp_path, kitten):

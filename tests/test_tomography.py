@@ -288,6 +288,20 @@ def test_bootstrap_statistics(lossy_kitten):
     assert boot.mean == pytest.approx(wigner_origin(lossy_kitten), abs=0.05)
 
 
+def test_bootstrap_stream_is_pinned(lossy_kitten):
+    # W(0,0) of each resample, recorded from the per-angle sampling loop that
+    # the one multi-angle sampler replaced; the counts differ per angle
+    boot = bootstrap_metric(
+        lossy_kitten,
+        ReconstructionConfig(nmax=6, eta_correction=HD_ETA),
+        per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
+        n_resamples=3,
+        seed=5,
+    )
+    expected = [-0.0244986778320183, -0.018474266057971398, -0.05860277967540064]
+    np.testing.assert_array_equal(boot.values, expected)
+
+
 def test_bootstrap_draws_at_override_angles(lossy_kitten):
     # with angle overrides the resamples must be drawn at the true angles and
     # tagged with the nominal ones; resampling at the true angles directly then
