@@ -213,6 +213,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_wigner_grid(args) -> int:
+    if args.points < 2:
+        raise ValidationError(f"--points must be at least 2, got {args.points}")
+    if not (math.isfinite(args.range) and args.range > 0.0):
+        raise ValidationError(f"--range must be a finite positive number, got {args.range}")
     rho = load_density_matrix(args.rho)
     axis = np.linspace(-args.range, args.range, args.points)
     xg, pg = np.meshgrid(axis, axis, indexing="ij")

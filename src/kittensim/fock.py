@@ -319,35 +319,54 @@ def phase_diffusion(rho: FockDensityMatrix, sigma: float) -> FockDensityMatrix:
 # ---------------------------------------------------------------------------
 
 def wigner(rho: FockDensityMatrix, x, p) -> np.ndarray | float:
-    """Wigner function W(x, p) via the iterative Fock-basis Laguerre recurrence.
+    """Wigner function W(x, p), summed over the diagonals of rho.
 
-    W_mn(alpha), alpha = (x + i p)/sqrt(2), is built row by row as in QuTiP's
-    iterative method (Johansson, Nation & Nori, CPC 183, 1760, 2012):
-    W_0n = 2 alpha W_0,n-1 / sqrt(n) and
-    W_mn = (2 conj(alpha) W_m-1,n - sqrt(m) W_m-1,n-1) / sqrt(m) along each row.
+    With A = sqrt(2) (x + i p) and B = |A|^2 = 2 (x^2 + p^2), the Fock-basis
+    element W_m,m+L is (1/pi) e^(-B/2) LL_m^L(B) A^L / sqrt(L!), where
+    LL_m^L = (-1)^m sqrt(m! L!/(m+L)!) L_m^(L) is the normalised associated
+    Laguerre function (Leonhardt, Measuring the Quantum State of Light, 1997).
+    So, as in QuTiP (Johansson, Nation & Nori, CPC 184, 1234, 2013), each
+    diagonal L of rho (off-diagonal entries doubled) gives a real-coefficient
+    sum S_L(B) = sum_m c_m,m+L LL_m^L(B), and W = Re(sum_L S_L A^L / sqrt(L!))
+    e^(-B/2) / pi, summed by Horner's rule in A. The Laguerre functions come
+    from their real three-term recurrence, once per distinct radius.
     Broadcasts over array-valued x, p. Normalized so that the full-plane
     integral is 1 and |W| <= 1/pi for any physical state.
     """
     x_arr, p_arr = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
-    alpha = (x_arr + 1j * p_arr) / math.sqrt(2.0)
-    ent = rho.entries
+    r2, inverse = np.unique(x_arr**2 + p_arr**2, return_inverse=True)
+    b = 2.0 * r2
     d = rho.dim
-    row = [np.exp(-(x_arr**2 + p_arr**2)) / math.pi + 0j]
-    total = ent[0, 0].real * row[0].real
-    for n in range(1, d):
-        row.append(2.0 * alpha * row[n - 1] / math.sqrt(n))
-        total += 2.0 * (ent[0, n] * row[n]).real
-    for m in range(1, d):
-        prev = row[m]
-        row[m] = (2.0 * alpha.conj() * prev - math.sqrt(m) * row[m - 1]) / math.sqrt(m)
-        total += ent[m, m].real * row[m].real
-        for n in range(m + 1, d):
-            nxt = (2.0 * alpha * row[n - 1] - math.sqrt(m) * prev) / math.sqrt(n)
-            prev, row[n] = row[n], nxt
-            total += 2.0 * (ent[m, n] * row[n]).real
-    if total.ndim == 0:
-        return float(total)
-    return total
+    coeff = rho.entries * (2.0 - np.eye(d))
+    weight = np.exp(-r2) / math.pi
+    lag = np.empty((d, r2.size))
+    terms = np.empty((d, r2.size), dtype=complex)
+    for ell in range(d):
+        rows = d - ell
+        # rows n of LL_n^ell(B) e^(-B/2) / pi, by the recurrence
+        # LL_n+1 = ((B - 2n - 1 - ell) LL_n - sqrt(n (n + ell)) LL_n-1) / sqrt((n + 1)(n + 1 + ell))
+        lag[0] = weight
+        if rows > 1:
+            lag[1] = (b - (1.0 + ell)) * lag[0] / math.sqrt(1.0 + ell)
+        for n in range(1, rows - 1):
+            nxt = lag[n + 1]
+            np.subtract(b, 2 * n + 1 + ell, out=nxt)
+            nxt *= lag[n]
+            nxt -= math.sqrt(n * (n + ell)) * lag[n - 1]
+            nxt /= math.sqrt((n + 1) * (n + 1 + ell))
+        # S_ell e^(-B/2) / pi, as one real (2, rows) x (rows, radii) product
+        diag = np.diagonal(coeff, ell)
+        terms[ell].real, terms[ell].imag = np.stack((diag.real, diag.imag)) @ lag[:rows]
+    a = math.sqrt(2.0) * (x_arr + 1j * p_arr)
+    inverse = inverse.reshape(x_arr.shape)
+    w = terms[d - 1][inverse]
+    for ell in range(d - 2, -1, -1):  # w <- S_ell + w A / sqrt(ell + 1)
+        w *= a
+        w *= 1.0 / math.sqrt(ell + 1)
+        w += terms[ell][inverse]
+    if w.ndim == 0:
+        return float(w.real)
+    return w.real.copy()  # frees the complex sum
 
 
 def wigner_origin(rho: FockDensityMatrix) -> float:

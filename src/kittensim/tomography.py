@@ -191,29 +191,29 @@ def _mle_core(
     if total <= 0:
         raise ValidationError("dataset has no counts")
     flat = block.reshape(block.shape[0], d * d)
-    active = counts > 0
+    active = np.flatnonzero(counts)
+    active_counts = counts.ravel()[active]
 
     rho = np.eye(d, dtype=complex) / d
     history: list[float] = []
     converged = False
-    floored_bins = 0
     iters = 0
     for iters in range(1, config.max_iters + 1):
         probs = (phases * rho.T).real.reshape(-1, d * d) @ flat.T
-        low = probs < PROB_FLOOR
-        floored_bins = int(np.count_nonzero(low & active))
-        probs = np.maximum(probs, PROB_FLOOR)
-        ll = float(counts[active] @ np.log(probs[active]))
+        active_probs = probs.ravel()[active]
+        np.maximum(probs, PROB_FLOOR, out=probs)
+        ll = float(active_counts @ np.log(np.maximum(active_probs, PROB_FLOOR)))
         history.append(ll)
         if len(history) > 1:
             if (history[-1] - history[-2]) < config.loglik_tol * abs(history[-2]):
                 converged = True
                 break
-        coeff = counts / (total * probs)
-        r_op = np.einsum("amn,amn->mn", phases, (coeff @ flat).reshape(-1, d, d))
+        probs *= total  # counts / (total * probs), bit for bit
+        r_op = np.einsum("amn,amn->mn", phases, ((counts / probs) @ flat).reshape(-1, d, d))
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
+    floored_bins = int(np.count_nonzero(active_probs < PROB_FLOOR))
 
     state = FockDensityMatrix(nmax=config.nmax, entries=rho)
     metrics = {

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_BLOCK_ROWS = 4096
+
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to `path` atomically (temp file + rename in the same directory)."""
@@ -33,13 +35,36 @@ def write_csv(path, header, columns, metadata=None) -> None:
     """Write `# key=value` metadata lines, the header, then one row per index.
 
     Every float is written as its repr, so a file read back with read_csv
-    reproduces the columns bit for bit.
+    reproduces the columns bit for bit. Rows are formatted a block at a time,
+    which bounds the temporary strings.
     """
     lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
     lines.append(",".join(header))
-    cells = [map(repr, map(float, c)) for c in columns]
-    lines.extend(map(",".join, zip(*cells)) if len(cells) > 1 else cells[0])
+    columns = [np.ascontiguousarray(c, dtype=float).ravel() for c in columns]
+    for start in range(0, min(map(len, columns)), _BLOCK_ROWS):
+        cells = [_float_reprs(c[start:start + _BLOCK_ROWS]) for c in columns]
+        lines.append("\n".join(map(",".join, zip(*cells)) if len(cells) > 1 else cells[0]))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """The repr of each float, formatted once per run of equal values.
+
+    Values are compared by their float64 bit pattern, so 0.0 and -0.0 keep
+    their own text. The columns the program writes repeat values in runs (the
+    angle column of a samples file, x of a Wigner grid). Runs are found
+    without a sort, which would cost more than it saves on a column of
+    distinct values such as a trace.
+    """
+    bits = values.view(np.int64)
+    new_run = np.empty(values.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    text = list(map(repr, values[starts].tolist()))
+    if starts.size == values.size:
+        return text
+    return np.repeat(np.array(text, dtype=object), np.diff(starts, append=values.size)).tolist()
 
 
 def read_csv(path, header) -> tuple[dict[str, float], np.ndarray]:

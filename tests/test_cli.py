@@ -179,6 +179,21 @@ def test_wigner_grid_normalization(capsys, tmp_path):
     assert data[:, 2].min() == pytest.approx(summary["w_min"], abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--points", "0"), ("--points", "-3"), ("--points", "1"),
+     ("--range", "nan"), ("--range", "inf"), ("--range", "-2"), ("--range", "0")],
+)
+def test_wigner_grid_rejects_bad_grid_flags(capsys, tmp_path, flag, value):
+    rho, _ = make_state(capsys, tmp_path)
+    grid = tmp_path / "grid.csv"
+    rc, _, err = run_cli(capsys, "wigner-grid", "--in", str(rho), "--out", str(grid),
+                         flag, value)
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
+    assert not grid.exists()
+
+
 def test_synth_extract_round_trip(capsys, tmp_path):
     sig_dir = tmp_path / "sig"
     vac_dir = tmp_path / "vac"

@@ -12,6 +12,7 @@ from kittensim import (
     load_trace_csv,
 )
 from kittensim.cli import main
+from kittensim.util import read_csv, write_csv
 
 SPECTRA = "freq_hz,angle_deg,variance_snu\n1.0,0.0,0.5\n2.0,0.0,0.5\n"
 
@@ -81,3 +82,17 @@ def test_fit_spectrum_cli_rejects_malformed_clearance(capsys, tmp_path, row):
     err = capsys.readouterr().err
     assert rc == 1
     assert json.loads(err)["error"] == "validation"
+
+
+def test_writer_keeps_each_bit_pattern_of_repeated_values(tmp_path):
+    # the writer formats each run of equal values once; 0.0 and -0.0 compare
+    # equal as floats but must keep their own text
+    # (5000 rows: more than one block of rows, with a run across the boundary)
+    signed = np.tile([0.0, -0.0, 1.0, -0.0], 1250)
+    other = np.repeat([2.5, -0.0, 0.0, 1e-300, 0.1 + 0.2], 1000)
+    path = tmp_path / "zeros.csv"
+    write_csv(path, ("a", "b"), (signed, other))
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [f"{a!r},{b!r}" for a, b in zip(signed.tolist(), other.tolist())]
+    _, table = read_csv(path, ("a", "b"))
+    np.testing.assert_array_equal(table.view(np.int64), np.stack((signed, other)).view(np.int64))

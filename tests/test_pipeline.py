@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_config_ini_round_trip(tmp_path):
     path = tmp_path / "exp.ini"
     save_config(config, path)
     assert load_config(path) == config
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_config(path)
+    assert cfg.state.v_x_db == -2.0
+    assert cfg.channel.phase_sigma_deg == 19.4
+    assert cfg.reconstruction.bootstrap_resamples == 50
 
 
 def test_config_rejects_unknown_section(tmp_path):
