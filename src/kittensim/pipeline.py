@@ -106,14 +106,23 @@ class ReconstructionSection:
     bootstrap_resamples: int = 50
 
     def __post_init__(self) -> None:
-        if self.bin_width <= 0.0 or self.bin_max <= self.bin_min:
+        finite = all(math.isfinite(v) for v in (self.bin_width, self.bin_min, self.bin_max))
+        if not finite or self.bin_width <= 0.0 or self.bin_max <= self.bin_min:
             raise ValidationError("reconstruction bin grid is degenerate")
+        span = self.bin_max - self.bin_min
+        if not abs(self._bin_count() * self.bin_width - span) <= 1e-9 * span:
+            raise ValidationError(
+                f"bin_width {self.bin_width!r} does not tile [{self.bin_min!r}, "
+                f"{self.bin_max!r}]: the span is {span / self.bin_width:.6g} widths"
+            )
         if self.bootstrap_resamples < 0:
             raise ValidationError("bootstrap_resamples must be >= 0")
 
+    def _bin_count(self) -> int:
+        return round((self.bin_max - self.bin_min) / self.bin_width)
+
     def bin_edges(self) -> np.ndarray:
-        n = int(round((self.bin_max - self.bin_min) / self.bin_width))
-        return np.linspace(self.bin_min, self.bin_max, n + 1)
+        return np.linspace(self.bin_min, self.bin_max, self._bin_count() + 1)
 
     def to_config(self, eta_correction: float = 1.0) -> ReconstructionConfig:
         return ReconstructionConfig(

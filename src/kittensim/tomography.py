@@ -181,25 +181,38 @@ def _mle_core(
     """R rho R iteration on the real POVM block and one phase array per angle.
 
     With Pi_aj = Phi_a * L_j (element-wise), p_aj = tr(Pi_aj rho) is
-    Re(Phi_a * rho^T) . L_j and R = sum_a Phi_a * (sum_j c_aj L_j), so each
-    step costs real (n_angles, dim^2) x (dim^2, n_bins + 2) products instead of
-    products with the complex (n_angles * (n_bins + 2), dim^2) stack.
+    Re(Phi_a * rho^T) . L_j and R = sum_a Phi_a * (sum_j c_aj L_j). L_j and
+    Re(Phi_a * rho^T) are real symmetric, so both products run on the
+    dim (dim + 1) / 2 entries with m >= n, the off-diagonal ones counted twice
+    in p, and R is written back with its upper triangle as the conjugate of
+    the lower one, which keeps it exactly Hermitian. Bins empty at every angle
+    add nothing to R or to the log-likelihood and are left out of both.
     """
     d = config.nmax + 1
-    counts = binned.counts
-    total = counts.sum()
+    total = binned.counts.sum()
     if total <= 0:
         raise ValidationError("dataset has no counts")
-    flat = block.reshape(block.shape[0], d * d)
+    occupied = binned.counts.any(axis=0)
+    counts = binned.counts[:, occupied]
+    # flat indices of the entries with m >= n and of their mirror images, so
+    # rho.ravel()[upper] is the lower triangle of rho^T
+    rows, cols = np.tril_indices(d)
+    lower, upper = rows * d + cols, cols * d + rows
+    # L_j is symmetric only to about 1 ulp: its lower triangle is the one used
+    packed = block[occupied].reshape(-1, d * d)[:, lower]
+    doubled = packed * np.where(rows == cols, 1.0, 2.0)
+    packed_phases = phases.reshape(-1, d * d)[:, lower]
     active = np.flatnonzero(counts)
     active_counts = counts.ravel()[active]
 
     rho = np.eye(d, dtype=complex) / d
+    r_flat = np.empty(d * d, dtype=complex)
+    r_op = r_flat.reshape(d, d)  # a view: each step writes R through r_flat
     history: list[float] = []
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        probs = (phases * rho.T).real.reshape(-1, d * d) @ flat.T
+        probs = (packed_phases * rho.ravel()[upper]).real @ doubled.T
         active_probs = probs.ravel()[active]
         np.maximum(probs, PROB_FLOOR, out=probs)
         ll = float(active_counts @ np.log(np.maximum(active_probs, PROB_FLOOR)))
@@ -209,7 +222,9 @@ def _mle_core(
                 converged = True
                 break
         probs *= total  # counts / (total * probs), bit for bit
-        r_op = np.einsum("amn,amn->mn", phases, ((counts / probs) @ flat).reshape(-1, d, d))
+        r_lower = np.einsum("ap,ap->p", packed_phases, (counts / probs) @ packed)
+        r_flat[upper] = r_lower.conj()
+        r_flat[lower] = r_lower
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real

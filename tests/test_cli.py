@@ -135,6 +135,24 @@ def test_reconstruct_matches_library(capsys, tmp_path):
     assert np.array_equal(load_density_matrix(out_rho).entries, lib.rho.entries)
 
 
+@pytest.mark.parametrize("width", ["0.07", "5", "100"])
+def test_reconstruct_rejects_bin_width_that_does_not_tile(capsys, tmp_path, width):
+    rho, _ = make_state(capsys, tmp_path)
+    samples = tmp_path / "samples.csv"
+    run_cli(capsys, "sample", "--rho", str(rho), "--angles-deg", "0,90",
+            "--count", "100", "--out", str(samples))
+    out_rho = tmp_path / "recon.json"
+    rc, _, err = run_cli(
+        capsys, "reconstruct", "--samples", str(samples), "--bin-width", width,
+        "--out-rho", str(out_rho),
+    )
+    assert rc == 1
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert "does not tile" in error["message"]
+    assert not out_rho.exists()
+
+
 def test_reconstruct_nonconvergence_exits_2(capsys, tmp_path):
     rho, _ = make_state(capsys, tmp_path)
     samples = tmp_path / "samples.csv"
@@ -350,6 +368,23 @@ def test_pipeline_artifacts_do_not_depend_on_blas_threads(tmp_path, name):
     for artifact in artifacts:
         one = (runs["1"] / artifact).read_bytes()
         assert one == (runs["2"] / artifact).read_bytes(), artifact
+
+
+def test_cli_pipeline_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs about 20 ms of import in each CLI process; a plain
+    # np.unique call pulls it in
+    ini = tmp_path / "run.ini"
+    save_config(small_config(tmp_path / "run", reconstruction=ReconstructionSection(
+        nmax=8, max_iters=600, bootstrap_resamples=2)), ini)
+    code = (
+        "import sys; from kittensim.cli import main; "
+        f"rc = main(['pipeline', '--config', {str(ini)!r}]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_cli_import_loads_no_scipy():

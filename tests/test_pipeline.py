@@ -89,6 +89,27 @@ def test_config_rejects_bad_boolean(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "width, message",
+    [("0.07", "does not tile"), ("5.0", "does not tile"), ("100", "does not tile"),
+     ("nan", "degenerate"), ("inf", "degenerate")],
+)
+def test_config_rejects_bin_width_that_does_not_tile(tmp_path, width, message):
+    # the grid used to round to a whole number of bins of another width
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[reconstruction]\nbin_width = {width}\n")
+    with pytest.raises(ValidationError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["local", "transmitted"])
+def test_shipped_bin_grid_loads(name):
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
+    edges = config.reconstruction.bin_edges()
+    assert edges.size == 121
+    np.testing.assert_allclose(np.diff(edges), 0.1, rtol=1e-9)
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ValidationError):
         load_config(tmp_path / "nope.ini")

@@ -1,9 +1,12 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kittensim import tomography
+from kittensim.quadrature import sample_homodyne
 from kittensim import (
     NumericsError,
     QuadratureDataset,
@@ -246,24 +249,47 @@ def reference_rrr(stack, counts, config):
     return rho, iters
 
 
-@pytest.mark.parametrize("overridden", [False, True], ids=["nominal", "overrides"])
-def test_mle_matches_full_stack_reference(lossy_kitten, overridden):
-    # the reconstruction iterates on the real POVM block and per-angle phases;
-    # it must follow the full-stack iteration step for step
+def reference_case(rho, case):
+    """Dataset, config and POVM angles of one full-stack comparison case."""
     nominal = np.radians([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
-    drawn = np.radians([0.0, 33.5, 65.6, 90.0, 133.1, 163.3]) if overridden else nominal
+    drawn, count, edges = nominal, 5000, default_bin_edges()
+    if case == "overrides":
+        drawn = np.radians([0.0, 33.5, 65.6, 90.0, 133.1, 163.3])
+    elif case == "scan":
+        # 18 angles, each measured a few degrees off its nominal value
+        nominal = np.radians(4.0 + 10.0 * np.arange(18))
+        drawn = nominal + np.radians(np.random.default_rng(9).uniform(-3.0, 3.0, 18))
+        count = 4000
     blocks = {
-        th: sample_quadratures(lossy_kitten, dr, 5000, seed=300 + i)
+        th: sample_quadratures(rho, dr, count, seed=300 + i)
         for i, (th, dr) in enumerate(zip(nominal, drawn))
     }
     dataset = dataset_from_angle_blocks(blocks)
+    if case == "empty-bin":
+        # two extra edges inside the widest gap between samples near the origin
+        values = np.sort(dataset.values)
+        gaps = np.where(np.abs(values[:-1]) < 1.0, np.diff(values), 0.0)
+        lo, hi = values[np.argmax(gaps)], values[np.argmax(gaps) + 1]
+        edges = np.sort(np.append(edges, [lo + (hi - lo) / 3.0, lo + 2.0 * (hi - lo) / 3.0]))
     config = ReconstructionConfig(
         nmax=12,
+        bin_edges=edges,
         eta_correction=HD_ETA,
-        angle_overrides=dict(zip(nominal, drawn)) if overridden else None,
+        angle_overrides=None if case == "nominal" else dict(zip(nominal, drawn)),
     )
+    return dataset, config, drawn
+
+
+@pytest.mark.parametrize("case", ["nominal", "overrides", "scan", "empty-bin"])
+def test_mle_matches_full_stack_reference(lossy_kitten, case):
+    # the reconstruction iterates on the packed real POVM block, the occupied
+    # bins and per-angle phases; it must follow the full-stack iteration step for step
+    dataset, config, drawn = reference_case(lossy_kitten, case)
     result = mle_reconstruct(dataset, config)
     binned = bin_dataset(dataset, config)
+    if case == "empty-bin":
+        occupied = np.flatnonzero(binned.counts.any(axis=0))
+        assert np.any(np.diff(occupied) > 1) and occupied[0] > 0
     stack = build_povm_stack(drawn, binned.edges, HD_ETA, 12)
     rho, iters = reference_rrr(stack, binned.counts.ravel(), config)
     assert result.converged
@@ -288,9 +314,17 @@ def test_bootstrap_statistics(lossy_kitten):
     assert boot.mean == pytest.approx(wigner_origin(lossy_kitten), abs=0.05)
 
 
-def test_bootstrap_stream_is_pinned(lossy_kitten):
-    # W(0,0) of each resample, recorded from the per-angle sampling loop that
-    # the one multi-angle sampler replaced; the counts differ per angle
+def test_bootstrap_stream_is_pinned(lossy_kitten, monkeypatch):
+    # the SHA-256 of each resample's drawn values pins the random stream
+    # exactly; the counts differ per angle
+    digests = []
+
+    def recording_sampler(*args, **kwargs):
+        dataset = sample_homodyne(*args, **kwargs)
+        digests.append(hashlib.sha256(dataset.values.tobytes()).hexdigest())
+        return dataset
+
+    monkeypatch.setattr(tomography, "sample_homodyne", recording_sampler)
     boot = bootstrap_metric(
         lossy_kitten,
         ReconstructionConfig(nmax=6, eta_correction=HD_ETA),
@@ -298,7 +332,14 @@ def test_bootstrap_stream_is_pinned(lossy_kitten):
         n_resamples=3,
         seed=5,
     )
-    expected = [-0.0244986778320183, -0.018474266057971398, -0.05860277967540064]
+    assert digests == [
+        "8a07b2abec80c24e30546f472a71918fa750fb82277650ad1201e2257d6589ac",
+        "222d9a60c12ccf352b1ba813514d3d271092d089426c1d430eab9275bdb0e4d3",
+        "4fe7dd68ff986b9d175578969c6008ed95c49203223161b5048842a07d74e746",
+    ]
+    # W(0,0) of each resample, re-recorded when the R rho R step moved to the
+    # packed block and the occupied bins (each moved by <= 1.2e-16)
+    expected = [-0.024498677832018187, -0.01847426605797142, -0.05860277967540063]
     np.testing.assert_array_equal(boot.values, expected)
 
 
