@@ -17,27 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KittenError, NumericsError, ValidationError
-from .fock import (
-    best_cat_fidelity,
-    load_density_matrix,
-    loss_channel,
-    save_density_matrix,
-    wigner,
-    wigner_origin,
-)
+from .fock import load_density_matrix, save_density_matrix, wigner, wigner_origin
 from .pipeline import (
     ChannelSection,
+    DetectionSection,
     ReconstructionSection,
+    SamplingSection,
     StateSection,
     apply_link,
+    detect_and_sample,
     load_config,
     parse_angle_list,
+    parse_angle_pairs,
     run_pipeline,
-    sample_homodyne_dataset,
     simulate_source_state,
     verify_run_dir,
 )
-from .quadrature import load_samples_csv, save_samples_csv
+from .quadrature import dataset_from_angle_blocks, load_samples_csv, save_samples_csv
 from .spectrum import (
     fit_report_json,
     joint_fit,
@@ -55,8 +51,9 @@ from .temporal import (
     TimeTrace,
 )
 from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct
-from .quadrature import dataset_from_angle_blocks
 from .util import atomic_write_text, write_csv
+
+_GAMMA_MHZ = 8.0  # default OPO decay rate gamma / 2 pi, in MHz
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,13 +66,17 @@ class _Parser(argparse.ArgumentParser):
 _RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "loglik_tol")
 
 
+def _add_section_flags(parser: argparse.ArgumentParser, section, names) -> None:
+    """One --flag per named config-section field, typed and defaulted as the field is."""
+    for name in names:
+        value = getattr(section, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
+
+
 def _add_reconstruction_flags(parser: argparse.ArgumentParser) -> None:
     """The reconstruct/bootstrap flags, with the pipeline's [reconstruction] defaults."""
     parser.add_argument("--eta", type=float, default=ReconstructionConfig.eta_correction)
-    defaults = ReconstructionSection()
-    for name in _RECONSTRUCTION_FLAGS:
-        value = getattr(defaults, name)
-        parser.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
+    _add_section_flags(parser, ReconstructionSection, _RECONSTRUCTION_FLAGS)
 
 
 def _reconstruction_config(args) -> ReconstructionConfig:
@@ -84,11 +85,24 @@ def _reconstruction_config(args) -> ReconstructionConfig:
     return section.to_config(args.eta)
 
 
+def _rad_per_s(mhz: float) -> float:
+    """An angular rate (rad/s) from a frequency flag in MHz."""
+    return 2.0 * math.pi * mhz * 1e6
+
+
+def _emit(result, out=None) -> None:
+    """Print a JSON result (a dict, or text a library formatted); write it to `out` if given."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True)
+    if out:
+        atomic_write_text(out, text)
+    print(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate_state(args) -> int:
+def _cmd_simulate_state(args) -> None:
     state = StateSection(
         v_x_db=args.vx_db,
         v_p_db=args.vp_db,
@@ -100,66 +114,60 @@ def _cmd_simulate_state(args) -> int:
     rho, weight = simulate_source_state(state)
     rho = apply_link(rho, channel)
     save_density_matrix(rho, args.out)
-    print(json.dumps({
+    _emit({
         "out": str(args.out),
         "nmax": rho.nmax,
         "mean_photon": rho.mean_photon(),
         "purity": rho.purity(),
         "subtract_weight": weight,
-    }, indent=2, sort_keys=True))
-    return 0
+    })
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     rho = load_density_matrix(args.rho)
-    if args.hd_eta < 1.0:
-        rho = loss_channel(rho, args.hd_eta)
-    degs = parse_angle_list(args.angles_deg)
-    ds = sample_homodyne_dataset(rho, [math.radians(d) for d in degs], args.count, args.seed)
+    sampling = SamplingSection(
+        angles_deg=parse_angle_list(args.angles_deg), per_angle_count=args.count, seed=args.seed
+    )
+    ds = detect_and_sample(rho, DetectionSection(hd_eta=args.hd_eta), sampling)
     save_samples_csv(ds, args.out)
-    print(json.dumps({
+    _emit({
         "out": str(args.out),
-        "angles_deg": list(degs),
-        "per_angle_count": args.count,
+        "angles_deg": list(sampling.angles_deg),
+        "per_angle_count": sampling.per_angle_count,
         "total": len(ds.values),
-    }, indent=2, sort_keys=True))
-    return 0
+    })
 
 
-def _cmd_synth_traces(args) -> int:
-    gamma = 2.0 * math.pi * args.gamma_mhz * 1e6
-    epsilon = 2.0 * math.pi * args.epsilon_mhz * 1e6
+def _cmd_synth_traces(args) -> None:
+    gamma = _rad_per_s(args.gamma_mhz)
+    epsilon = _rad_per_s(args.epsilon_mhz)
     if args.spectrum == "flat":
         spectrum = lambda f: np.full_like(np.asarray(f, dtype=float), args.snu)
     elif args.spectrum == "vx":
         spectrum = lambda f: spectral_variances(f, gamma, epsilon, args.eta)[0]
     else:  # vp
         spectrum = lambda f: spectral_variances(f, gamma, epsilon, args.eta)[1]
+    fs = args.sample_rate_msps * 1e6
     traces = synthesize_gaussian_traces(
-        spectrum,
-        duration=args.duration_us * 1e-6,
-        sample_rate=args.sample_rate_msps * 1e6,
-        count=args.count,
+        spectrum, duration=args.duration_us * 1e-6, sample_rate=fs, count=args.count,
         seed=args.seed,
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fs = args.sample_rate_msps * 1e6
     for i in range(traces.shape[0]):
         save_trace_csv(TimeTrace(fs, traces[i]), out / f"trace_{i:05d}.csv")
-    print(json.dumps({
+    _emit({
         "out_dir": str(out),
         "count": traces.shape[0],
         "samples_per_trace": traces.shape[1],
         "sample_rate_hz": fs,
-    }, indent=2, sort_keys=True))
-    return 0
+    })
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     values, fs, _ = load_trace_dir(args.traces)
-    gamma = 2.0 * math.pi * args.gamma_mhz * 1e6
-    kappa = 2.0 * math.pi * args.kappa_mhz * 1e6
+    gamma = _rad_per_s(args.gamma_mhz)
+    kappa = _rad_per_s(args.kappa_mhz)
     duration = values.shape[1] / fs
     mode = build_mode(gamma, kappa, args.t0_us * 1e-6, fs, window=(0.0, duration))
     quads = extract_ensemble(values, mode)
@@ -173,46 +181,30 @@ def _cmd_extract(args) -> int:
         scale_info = {"scale": scale, "scale_stderr": scale_err}
     ds = dataset_from_angle_blocks({math.radians(args.angle_deg): quads})
     save_samples_csv(ds, args.out)
-    summary = {
+    _emit({
         "out": str(args.out),
         "count": int(quads.size),
         "variance_snu": float(np.var(quads)),
         "normalization": scale_info,
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    })
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> None:
     ds = load_samples_csv(args.samples)
     config = _reconstruction_config(args)
-    if args.true_angles_deg:
-        overrides = {}
-        for pair in args.true_angles_deg.split(","):
-            if not pair.strip():
-                continue
-            try:
-                nom, true = pair.split(":")
-                overrides[math.radians(float(nom))] = math.radians(float(true))
-            except ValueError as exc:
-                raise ValidationError(f"bad angle override {pair!r}") from exc
-        config = replace(config, angle_overrides=overrides)
+    if args.true_angles_deg is not None:
+        table = parse_angle_pairs(args.true_angles_deg)
+        config = replace(config, angle_overrides={
+            math.radians(nominal): math.radians(true) for nominal, true in table.items()
+        })
     result = mle_reconstruct(ds, config)
     save_density_matrix(result.rho, args.out_rho)
-    metrics = dict(result.metrics)
-    metrics["out_rho"] = str(args.out_rho)
-    text = json.dumps(metrics, indent=2, sort_keys=True)
-    if args.out_metrics:
-        atomic_write_text(args.out_metrics, text)
-    print(text)
+    _emit({**result.metrics, "out_rho": str(args.out_rho)}, args.out_metrics)
     if not result.converged:
-        print(json.dumps({"error": "numerics",
-                          "message": "reconstruction did not converge"}), file=sys.stderr)
-        return 2
-    return 0
+        raise NumericsError("reconstruction did not converge")
 
 
-def _cmd_wigner_grid(args) -> int:
+def _cmd_wigner_grid(args) -> None:
     if args.points < 2:
         raise ValidationError(f"--points must be at least 2, got {args.points}")
     if not (math.isfinite(args.range) and args.range > 0.0):
@@ -222,32 +214,24 @@ def _cmd_wigner_grid(args) -> int:
     xg, pg = np.meshgrid(axis, axis, indexing="ij")
     w = wigner(rho, xg, pg)
     write_csv(args.out, ("x", "p", "w"), (xg.ravel(), pg.ravel(), w.ravel()))
-    print(json.dumps({
+    _emit({
         "out": str(args.out),
         "points": args.points,
         "range": args.range,
         "w_origin": wigner_origin(rho),
         "w_min": float(w.min()),
-    }, indent=2, sort_keys=True))
-    return 0
+    })
 
 
-def _cmd_fit_spectrum(args) -> int:
+def _cmd_fit_spectrum(args) -> None:
     data = load_spectrum_csv(args.spectra, clearance_path=args.clearance)
-    gamma = 2.0 * math.pi * args.gamma_mhz * 1e6
-    result = joint_fit(data, gamma, fit_db=args.fit_db)
-    text = fit_report_json(result)
-    if args.out:
-        atomic_write_text(args.out, text)
-    print(text)
+    result = joint_fit(data, _rad_per_s(args.gamma_mhz), fit_db=args.fit_db)
+    _emit(fit_report_json(result), args.out)
     if not result.converged:
-        print(json.dumps({"error": "numerics", "message": "fit did not converge"}),
-              file=sys.stderr)
-        return 2
-    return 0
+        raise NumericsError("fit did not converge")
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args) -> None:
     rho = load_density_matrix(args.rho)
     degs = parse_angle_list(args.angles_deg)
     boot = bootstrap_metric(
@@ -257,41 +241,33 @@ def _cmd_bootstrap(args) -> int:
         n_resamples=args.resamples,
         seed=args.seed,
     )
-    text = json.dumps({
+    _emit({
         "metric": boot.metric,
         "mean": boot.mean,
         "std": boot.std,
         "n_resamples": boot.n_resamples,
         "failures": boot.failures,
         "valid": boot.valid,
-    }, indent=2, sort_keys=True)
-    if args.out:
-        atomic_write_text(args.out, text)
-    print(text)
-    return 0
+    }, args.out)
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> None:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
-    print(run.report.to_json())
+    _emit(run.report.to_json())
     if not run.report.metrics["converged"]:
-        print(json.dumps({"error": "numerics",
-                          "message": "reconstruction did not converge"}), file=sys.stderr)
-        return 2
-    return 0
+        raise NumericsError("reconstruction did not converge")
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     report = verify_run_dir(args.run)
-    print(json.dumps({
+    _emit({
         "run": str(args.run),
         "hashes_ok": True,
         "metrics": report.get("metrics", {}),
-    }, indent=2, sort_keys=True))
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vx-db", type=float, required=True)
     p.add_argument("--vp-db", type=float, required=True)
     p.add_argument("--no-subtract", action="store_true")
-    p.add_argument("--purity-mix", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--link-eta", type=float, default=1.0)
-    p.add_argument("--phase-sigma-deg", type=float, default=0.0)
+    _add_section_flags(p, StateSection, ("purity_mix", "nmax"))
+    _add_section_flags(p, ChannelSection, ("link_eta", "phase_sigma_deg"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate_state)
 
@@ -317,15 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--angles-deg", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hd-eta", type=float, default=1.0)
+    _add_section_flags(p, SamplingSection, ("seed",))
+    _add_section_flags(p, DetectionSection, ("hd_eta",))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("synth-traces", help="synthesize Gaussian homodyne time traces")
     p.add_argument("--spectrum", choices=("flat", "vx", "vp"), required=True)
     p.add_argument("--snu", type=float, default=0.5, help="flat spectrum level")
-    p.add_argument("--gamma-mhz", type=float, default=8.0)
+    p.add_argument("--gamma-mhz", type=float, default=_GAMMA_MHZ)
     p.add_argument("--epsilon-mhz", type=float, default=1.74)
     p.add_argument("--eta", type=float, default=0.462)
     p.add_argument("--count", type=int, required=True)
@@ -338,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="project traces onto a temporal mode")
     p.add_argument("--traces", required=True)
     p.add_argument("--vacuum", default=None, help="vacuum trace dir for shot-noise scaling")
-    p.add_argument("--gamma-mhz", type=float, default=8.0)
+    p.add_argument("--gamma-mhz", type=float, default=_GAMMA_MHZ)
     p.add_argument("--kappa-mhz", type=float, default=30.0)
     p.add_argument("--t0-us", type=float, default=0.5)
     p.add_argument("--angle-deg", type=float, default=0.0)
@@ -364,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-spectrum", help="joint fit of squeezing spectra")
     p.add_argument("--spectra", required=True)
     p.add_argument("--clearance", default=None)
-    p.add_argument("--gamma-mhz", type=float, default=8.0)
+    p.add_argument("--gamma-mhz", type=float, default=_GAMMA_MHZ)
     p.add_argument("--fit-db", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_spectrum)
@@ -374,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles-deg", required=True)
     p.add_argument("--count", type=int, required=True)
     _add_reconstruction_flags(p)
-    p.add_argument("--resamples", type=int, default=50)
+    p.add_argument("--resamples", type=int, default=ReconstructionSection.bootstrap_resamples)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bootstrap)
@@ -396,7 +370,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except (ValidationError, OSError) as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 1

@@ -63,10 +63,6 @@ class FockDensityMatrix:
     def mean_photon(self) -> float:
         return float((np.arange(self.dim) * np.diag(self.entries).real).sum())
 
-    def photon_distribution(self) -> np.ndarray:
-        """Diagonal of the density matrix (photon-number probabilities)."""
-        return np.diag(self.entries).real.copy()
-
     def validate(self) -> None:
         """Check the physicality invariants; raise ValidationError on failure."""
         ent = self.entries

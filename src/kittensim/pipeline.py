@@ -39,7 +39,7 @@ from .tomography import (
 )
 from .util import atomic_write_text, sha256_file
 
-DEFAULT_SIM_NMAX = 20
+MAX_BIN_COUNT = 10_000  # the shipped grid has 120; 10^7 would take the POVM block ~16 GB
 _BOOTSTRAP_SEED_OFFSET = 10_000_019
 
 
@@ -49,7 +49,7 @@ class StateSection:
     v_p_db: float
     subtract: bool = True
     purity_mix: float = 1.0  # weight of the subtracted state in the convex mix
-    nmax: int = DEFAULT_SIM_NMAX
+    nmax: int = 20
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.purity_mix <= 1.0:
@@ -110,6 +110,11 @@ class ReconstructionSection:
         if not finite or self.bin_width <= 0.0 or self.bin_max <= self.bin_min:
             raise ValidationError("reconstruction bin grid is degenerate")
         span = self.bin_max - self.bin_min
+        widths = span / self.bin_width
+        if widths > MAX_BIN_COUNT + 0.5:  # more than MAX_BIN_COUNT bins once rounded
+            raise ValidationError(
+                f"{widths:.6g} bins of width {self.bin_width!r}; at most {MAX_BIN_COUNT} allowed"
+            )
         if not abs(self._bin_count() * self.bin_width - span) <= 1e-9 * span:
             raise ValidationError(
                 f"bin_width {self.bin_width!r} does not tile [{self.bin_min!r}, "
@@ -156,17 +161,33 @@ _BOOL_KEYS = {"subtract", "correct_loss"}
 _INT_KEYS = {"nmax", "per_angle_count", "seed", "max_iters", "bootstrap_resamples"}
 
 
-def parse_angle_list(raw: str) -> tuple[float, ...]:
-    """Parse a comma-separated list of distinct, finite angles in degrees."""
+def _parse_degrees(raw: str, tokens, distinct: bool = True) -> tuple[float, ...]:
     try:
-        degs = tuple(float(tok) for tok in raw.split(","))
+        degs = tuple(float(tok) for tok in tokens)
     except ValueError as exc:
         raise ValidationError(f"bad angle list {raw!r}: every entry must be a number") from exc
     if not all(math.isfinite(d) for d in degs):
         raise ValidationError(f"bad angle list {raw!r}: every entry must be finite")
-    if len(set(degs)) != len(degs):
+    if distinct and len(set(degs)) != len(degs):
         raise ValidationError(f"bad angle list {raw!r}: each angle may appear once")
     return degs
+
+
+def parse_angle_list(raw: str) -> tuple[float, ...]:
+    """Parse a comma-separated list of distinct, finite angles in degrees."""
+    return _parse_degrees(raw, raw.split(","))
+
+
+def parse_angle_pairs(raw: str) -> dict[float, float]:
+    """Parse comma-separated `nominal:true` pairs in degrees into {nominal: true}.
+
+    As in parse_angle_list: no empty entries, finite numbers only, each nominal angle once.
+    """
+    pairs = [tok.split(":") for tok in raw.split(",")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValidationError(f"bad angle list {raw!r}: every entry must be nominal:true")
+    nominal = _parse_degrees(raw, [n for n, _ in pairs])
+    return dict(zip(nominal, _parse_degrees(raw, [t for _, t in pairs], distinct=False)))
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -291,6 +312,15 @@ def apply_link(rho: FockDensityMatrix, channel: ChannelSection) -> FockDensityMa
     return out
 
 
+def detect_and_sample(
+    rho: FockDensityMatrix, detection: DetectionSection, sampling: SamplingSection
+) -> QuadratureDataset:
+    """The homodyne dataset of `rho` through the detector (hd_eta = 1 samples `rho` itself)."""
+    detected = loss_channel(rho, detection.hd_eta) if detection.hd_eta < 1.0 else rho
+    angles = [math.radians(a) for a in sampling.angles_deg]
+    return sample_homodyne_dataset(detected, angles, sampling.per_angle_count, sampling.seed)
+
+
 def sample_homodyne_dataset(
     rho: FockDensityMatrix,
     angles: list[float],
@@ -364,11 +394,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
     timings["link_channel"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    detected = loss_channel(transmitted, config.detection.hd_eta)
-    angles = [math.radians(a) for a in config.sampling.angles_deg]
-    dataset = sample_homodyne_dataset(
-        detected, angles, config.sampling.per_angle_count, config.sampling.seed
-    )
+    dataset = detect_and_sample(transmitted, config.detection, config.sampling)
     timings["sample"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -391,7 +417,9 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
         boot = bootstrap_metric(
             primary.rho,
             primary_cfg,
-            per_angle_counts={th: config.sampling.per_angle_count for th in angles},
+            per_angle_counts=dict.fromkeys(
+                map(math.radians, config.sampling.angles_deg), config.sampling.per_angle_count
+            ),
             n_resamples=config.reconstruction.bootstrap_resamples,
             seed=config.sampling.seed + _BOOTSTRAP_SEED_OFFSET,
         )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fock import FockDensityMatrix
-from .util import read_csv, write_csv
+from .util import ANGLE_TOL, read_csv, write_csv
 
 # The fixed inverse-CDF sampling grid; a marginal with more than MASS_DEFICIT_TOL of
 # its mass off the grid is rejected, not truncated.
@@ -176,15 +176,10 @@ class QuadratureDataset:
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "values", values)
 
-    @property
-    def angle_set(self) -> np.ndarray:
-        """The distinct nominal angles, sorted."""
-        return np.unique(self.angles)
-
     def __len__(self) -> int:
         return self.values.size
 
-    def for_angle(self, theta: float, tol: float = 1e-9) -> np.ndarray:
+    def for_angle(self, theta: float, tol: float = ANGLE_TOL) -> np.ndarray:
         selected = self.values[np.abs(self.angles - theta) < tol]
         if selected.size == 0:
             raise ValidationError(f"no samples recorded at angle {theta} rad")

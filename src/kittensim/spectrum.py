@@ -29,9 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .util import read_csv, write_csv
+from .util import match_angle, read_csv, write_csv
 
-ANGLE_MATCH_TOL = 1e-9
 _FIXED_ANGLES = (0.0, math.pi / 2)
 _SPECTRUM_HEADER = ("freq_hz", "angle_deg", "variance_snu")
 _CLEARANCE_HEADER = ("freq_hz", "clearance")
@@ -62,13 +61,6 @@ def dephased_variance(theta, sigma: float, vx, vp):
     return vx_s * np.cos(theta) ** 2 + vp_s * np.sin(theta) ** 2
 
 
-def _lookup(mapping: dict[float, float], key: float) -> float:
-    for k, v in mapping.items():
-        if abs(k - key) < ANGLE_MATCH_TOL:
-            return v
-    raise ValidationError(f"no entry for nominal angle {math.degrees(key):.4f} deg")
-
-
 @dataclass(frozen=True)
 class SpectrumModelParams:
     """Parameters of the dephased OPO spectrum model (rates rad/s, angles radians).
@@ -92,15 +84,18 @@ class SpectrumModelParams:
             raise ValidationError("eta must lie in [0, 1]")
         if self.sigma < 0.0:
             raise ValidationError("sigma must be >= 0")
-        for fixed in _FIXED_ANGLES:
-            for k, v in self.theta_true.items():
-                if abs(k - fixed) < ANGLE_MATCH_TOL and abs(v - fixed) > ANGLE_MATCH_TOL:
-                    raise ValidationError(
-                        "0 and 90 degree angles are fixed references and cannot move"
-                    )
+        for k, v in self.theta_true.items():
+            fixed = match_angle(k, _FIXED_ANGLES)
+            if fixed is not None and match_angle(v, (fixed,)) is None:
+                raise ValidationError(
+                    "0 and 90 degree angles are fixed references and cannot move"
+                )
 
     def true_angle(self, nominal: float) -> float:
-        return _lookup(self.theta_true, nominal)
+        key = match_angle(nominal, self.theta_true)
+        if key is None:
+            raise ValidationError(f"no entry for nominal angle {math.degrees(nominal):.4f} deg")
+        return self.theta_true[key]
 
 
 @dataclass(frozen=True)
@@ -240,9 +235,7 @@ def joint_fit(
         raise ValidationError("joint fit needs spectra at >= 2 nominal angles")
     if data.freq.size < 20:
         raise ValidationError("joint fit needs >= 20 frequency points")
-    free_angles = [
-        a for a in angles if all(abs(a - fx) > ANGLE_MATCH_TOL for fx in _FIXED_ANGLES)
-    ]
+    free_angles = [a for a in angles if match_angle(a, _FIXED_ANGLES) is None]
 
     stacked = np.concatenate([data.variances[a] for a in angles])
     if fit_db:

@@ -22,9 +22,9 @@ from .quadrature import (
     marginal_variance,
     sample_homodyne,
 )
+from .util import match_angle
 
 PROB_FLOOR = 1e-12
-_ANGLE_TOL = 1e-9
 
 
 def default_bin_edges() -> np.ndarray:
@@ -51,6 +51,9 @@ class ReconstructionConfig:
             raise ValidationError("eta_correction must lie in (0, 1]")
         if self.max_iters < 1 or self.loglik_tol <= 0.0:
             raise ValidationError("max_iters must be >= 1 and loglik_tol positive")
+        overrides = self.angle_overrides or {}
+        if not all(map(math.isfinite, [*overrides, *overrides.values()])):
+            raise ValidationError("angle_overrides must map finite angles to finite angles")
         object.__setattr__(self, "bin_edges", edges)
 
 
@@ -148,13 +151,13 @@ def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) ->
         return angles
     resolved = np.empty_like(angles)
     for i, nominal in enumerate(angles):
-        hit = [v for k, v in overrides.items() if abs(k - nominal) < _ANGLE_TOL]
-        if not hit:
+        key = match_angle(nominal, overrides)
+        if key is None:
             raise ValidationError(
                 f"angle override table is missing nominal angle "
                 f"{math.degrees(nominal):.4f} deg"
             )
-        resolved[i] = hit[0]
+        resolved[i] = overrides[key]
     return resolved
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes, the CSV codec, and hashing."""
+"""Small shared helpers: atomic file writes, the CSV codec, hashing and angle matching."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ValidationError
 
 _BLOCK_ROWS = 4096
+ANGLE_TOL = 1e-9  # radians: two angles closer than this are the same angle
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -117,3 +118,11 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def match_angle(angle: float, candidates) -> float | None:
+    """The first of `candidates` within ANGLE_TOL of `angle` (radians), or None."""
+    for candidate in candidates:
+        if abs(candidate - angle) < ANGLE_TOL:
+            return candidate
+    return None

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from kittensim import (
+    ChannelSection,
+    DetectionSection,
     ReconstructionConfig,
     ReconstructionSection,
+    SamplingSection,
     SpectrumData,
     SpectrumModelParams,
+    StateSection,
     load_config,
     load_density_matrix,
     load_samples_csv,
@@ -150,6 +154,57 @@ def test_reconstruct_rejects_bin_width_that_does_not_tile(capsys, tmp_path, widt
     error = json.loads(err)
     assert error["error"] == "validation"
     assert "does not tile" in error["message"]
+    assert not out_rho.exists()
+
+
+@pytest.mark.parametrize("width", ["0.001", "1e-300"])
+def test_reconstruct_rejects_bin_counts_above_the_cap(capsys, tmp_path, width):
+    rho, _ = make_state(capsys, tmp_path)
+    samples = tmp_path / "samples.csv"
+    run_cli(capsys, "sample", "--rho", str(rho), "--angles-deg", "0,90",
+            "--count", "100", "--out", str(samples))
+    out_rho = tmp_path / "recon.json"
+    rc, _, err = run_cli(
+        capsys, "reconstruct", "--samples", str(samples), "--bin-width", width,
+        "--out-rho", str(out_rho),
+    )
+    assert rc == 1
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert "allowed" in error["message"]
+    assert not out_rho.exists()
+
+
+def _angle_table_run(capsys, tmp_path, *table):
+    rho, _ = make_state(capsys, tmp_path)
+    samples = tmp_path / "samples.csv"
+    run_cli(capsys, "sample", "--rho", str(rho), "--angles-deg", "0,30,90",
+            "--count", "1000", "--seed", "4", "--out", str(samples))
+    out_rho = tmp_path / "recon.json"
+    rc, _, err = run_cli(capsys, "reconstruct", "--samples", str(samples), "--nmax", "6",
+                         *table, "--out-rho", str(out_rho))
+    return rc, err, out_rho
+
+
+def test_identity_angle_table_changes_nothing(capsys, tmp_path):
+    rc, _, plain = _angle_table_run(capsys, tmp_path / "plain")
+    assert rc == 0
+    rc, _, table = _angle_table_run(capsys, tmp_path / "table",
+                                    "--true-angles-deg", "0:0,30:30,90:90")
+    assert rc == 0
+    assert table.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "table", ["0:nan,30:31,90:90", "0:inf,30:31,90:90", "0:0,0:5,30:31,90:90",
+              "0:0,,30:31,90:90", "30"]
+)
+def test_bad_angle_table_exits_1(capsys, tmp_path, table):
+    # the first four used to run: to a NaN state, or keeping the last entry
+    # for 0 deg, or skipping the empty one
+    rc, err, out_rho = _angle_table_run(capsys, tmp_path, "--true-angles-deg", table)
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
     assert not out_rho.exists()
 
 
@@ -330,14 +385,54 @@ def test_pipeline_seed_override_changes_samples(capsys, tmp_path):
 
 def test_reconstruction_flag_defaults_match_config_section():
     section = asdict(ReconstructionSection())
-    del section["bootstrap_resamples"]
-    for argv in (
-        ["reconstruct", "--samples", "s.csv", "--out-rho", "r.json"],
-        ["bootstrap", "--rho", "r.json", "--angles-deg", "0", "--count", "10"],
+    resamples = section.pop("bootstrap_resamples")
+    state, channel = StateSection(v_x_db=0.0, v_p_db=0.0), ChannelSection()
+    eta = ReconstructionConfig().eta_correction
+    for argv, expected in (
+        (["reconstruct", "--samples", "s.csv", "--out-rho", "r.json"],
+         {**section, "eta": eta}),
+        (["bootstrap", "--rho", "r.json", "--angles-deg", "0", "--count", "10"],
+         {**section, "eta": eta, "resamples": resamples}),
+        (["simulate-state", "--vx-db", "-2", "--vp-db", "2.4", "--out", "r.json"],
+         {"no_subtract": not state.subtract, "purity_mix": state.purity_mix,
+          "nmax": state.nmax, "link_eta": channel.link_eta,
+          "phase_sigma_deg": channel.phase_sigma_deg}),
+        (["sample", "--rho", "r.json", "--angles-deg", "0", "--count", "10", "--out", "s.csv"],
+         {"hd_eta": DetectionSection().hd_eta, "seed": SamplingSection().seed}),
     ):
         args = vars(build_parser().parse_args(argv))
-        assert {key: args[key] for key in section} == section
-        assert args["eta"] == ReconstructionConfig().eta_correction
+        assert {key: args[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("hd_eta", [0.88, 1.0])
+def test_cli_stages_reproduce_the_pipeline(capsys, tmp_path, hd_eta):
+    config = small_config(tmp_path / "run", detection=DetectionSection(hd_eta=hd_eta))
+    ini = tmp_path / "exp.ini"
+    save_config(config, ini)
+    rc, _, _ = run_cli(capsys, "pipeline", "--config", str(ini))
+    assert rc == 0
+
+    state, channel, sampling = config.state, config.channel, config.sampling
+    recon = config.reconstruction
+    stages = [
+        ("simulate-state", "--vx-db", state.v_x_db, "--vp-db", state.v_p_db,
+         "--purity-mix", state.purity_mix, "--nmax", state.nmax,
+         "--link-eta", channel.link_eta, "--phase-sigma-deg", channel.phase_sigma_deg,
+         "--out", tmp_path / "rho_transmitted.json"),
+        ("sample", "--rho", tmp_path / "rho_transmitted.json",
+         "--angles-deg", ",".join(map(repr, sampling.angles_deg)),
+         "--count", sampling.per_angle_count, "--seed", sampling.seed, "--hd-eta", hd_eta,
+         "--out", tmp_path / "samples.csv"),
+        ("reconstruct", "--samples", tmp_path / "samples.csv", "--nmax", recon.nmax,
+         "--bin-width", recon.bin_width, "--bin-min", recon.bin_min,
+         "--bin-max", recon.bin_max, "--max-iters", recon.max_iters,
+         "--loglik-tol", recon.loglik_tol, "--out-rho", tmp_path / "rho_uncorrected.json"),
+    ]
+    for argv in stages:
+        rc, _, _ = run_cli(capsys, *map(str, argv))
+        assert rc == 0
+    for name in ("rho_transmitted.json", "samples.csv", "rho_uncorrected.json"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
 def cli_env(**extra):

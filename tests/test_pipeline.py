@@ -25,7 +25,7 @@ from kittensim import (
     verify_run_dir,
     wigner_origin,
 )
-from kittensim.pipeline import parse_angle_list
+from kittensim.pipeline import MAX_BIN_COUNT, parse_angle_list, parse_angle_pairs
 
 
 def small_config(outputs, **overrides):
@@ -92,7 +92,9 @@ def test_config_rejects_bad_boolean(tmp_path):
 @pytest.mark.parametrize(
     "width, message",
     [("0.07", "does not tile"), ("5.0", "does not tile"), ("100", "does not tile"),
-     ("nan", "degenerate"), ("inf", "degenerate")],
+     ("nan", "degenerate"), ("inf", "degenerate"),
+     # past the bin cap: 1e-300 used to fail inside np.linspace, 1e-6 to ask for 12e6 bins
+     ("0.001", "allowed"), ("1e-6", "allowed"), ("1e-300", "allowed"), ("5e-324", "allowed")],
 )
 def test_config_rejects_bin_width_that_does_not_tile(tmp_path, width, message):
     # the grid used to round to a whole number of bins of another width
@@ -100,6 +102,11 @@ def test_config_rejects_bin_width_that_does_not_tile(tmp_path, width, message):
     path.write_text(f"[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[reconstruction]\nbin_width = {width}\n")
     with pytest.raises(ValidationError, match=message):
         load_config(path)
+
+
+def test_bin_grid_at_the_cap_loads():
+    edges = ReconstructionSection(bin_width=12.0 / MAX_BIN_COUNT).bin_edges()
+    assert edges.size == MAX_BIN_COUNT + 1
 
 
 @pytest.mark.parametrize("name", ["local", "transmitted"])
@@ -137,6 +144,10 @@ def test_angle_list_rejects_empty_bad_and_repeated_entries(raw):
 
 def test_angle_list_keeps_the_degrees_as_written():
     assert parse_angle_list(" 0, 30,45.5 ,-90") == (0.0, 30.0, 45.5, -90.0)
+
+
+def test_angle_pairs_keep_the_degrees_as_written():
+    assert parse_angle_pairs(" 0:0, 30 :33.5,90: 90") == {0.0: 0.0, 30.0: 33.5, 90.0: 90.0}
 
 
 def test_sample_homodyne_dataset_is_seeded_per_angle_index(kitten):

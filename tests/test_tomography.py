@@ -192,7 +192,7 @@ def test_identity_angle_overrides_change_nothing(lossy_kitten):
     config = ReconstructionConfig(nmax=6, max_iters=150)
     plain = mle_reconstruct(dataset, config)
     overridden = reconstruct_with_angles(
-        dataset, config, {th: th for th in dataset.angle_set}
+        dataset, config, {th: th for th in np.unique(dataset.angles)}
     )
     assert np.array_equal(plain.rho.entries, overridden.rho.entries)
 
@@ -202,6 +202,19 @@ def test_angle_overrides_must_cover_dataset(lossy_kitten):
     config = ReconstructionConfig(nmax=6, max_iters=50)
     with pytest.raises(ValidationError):
         reconstruct_with_angles(dataset, config, {0.0: 0.0})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{0.0: math.nan}, {0.0: math.inf}, {math.nan: 0.0}, {-math.inf: 0.0}],
+)
+def test_config_rejects_non_finite_angle_overrides(lossy_kitten, overrides):
+    # {0.0: nan} used to reach the RrhoR loop and return a NaN state
+    with pytest.raises(ValidationError):
+        ReconstructionConfig(angle_overrides=overrides)
+    dataset = small_dataset(lossy_kitten, (0.0,), 200, seed=3)
+    with pytest.raises(ValidationError):
+        reconstruct_with_angles(dataset, ReconstructionConfig(nmax=6), overrides)
 
 
 def test_true_angle_povm_deepens_negativity(lossy_kitten):
