@@ -19,6 +19,8 @@ from .util import atomic_write_text
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+GAUSSIAN_TRACE_DEFICIT_TOL = 1e-6  # trace gaussian_state may lose to its cutoff
+CAT_NORM_DEFICIT_TOL = 1e-8  # norm cat_state may lose to its cutoff
 
 # Internal padding (extra Fock levels) used when a constructor needs to apply a
 # non-number-conserving operation before truncating to the requested cutoff.
@@ -124,8 +126,8 @@ class GaussianStateSpec:
     v_p: float
 
     def __post_init__(self) -> None:
-        if self.v_x <= 0.0 or self.v_p <= 0.0:
-            raise ValidationError("variances must be positive")
+        if not (0.0 < self.v_x < math.inf and 0.0 < self.v_p < math.inf):
+            raise ValidationError("variances must be positive and finite")
         if self.v_x * self.v_p < 0.25 - 1e-12:
             raise ValidationError(
                 f"v_x*v_p = {self.v_x * self.v_p:.6g} violates the uncertainty bound 1/4"
@@ -137,18 +139,13 @@ class GaussianStateSpec:
         return GaussianStateSpec(self.v_x / g, self.v_p / g)
 
 
-def gaussian_state(
-    spec: GaussianStateSpec,
-    nmax: int = 20,
-    *,
-    max_trace_deficit: float = 1e-6,
-) -> FockDensityMatrix:
+def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix:
     """Squeezed thermal state with the requested marginal variances.
 
     Built as a thermal state of mean photon number nbar = sqrt(v_x v_p) - 1/2
     squeezed by r = (1/4) ln(v_p / v_x) (truncated squeeze operator applied on a
     padded space, then cut back to nmax). Raises NumericsError if the truncated
-    trace deficit exceeds `max_trace_deficit`.
+    trace deficit exceeds GAUSSIAN_TRACE_DEFICIT_TOL.
     """
     if nmax < 1:
         raise ValidationError("nmax must be >= 1")
@@ -174,26 +171,20 @@ def gaussian_state(
 
     cut = rho_w[: nmax + 1, : nmax + 1]
     deficit = 1.0 - float(np.trace(cut).real)
-    if deficit > max_trace_deficit:
+    if deficit > GAUSSIAN_TRACE_DEFICIT_TOL:
         raise NumericsError(
             f"truncation at nmax={nmax} loses trace {deficit:.3e} "
-            f"(> {max_trace_deficit:.1e}); increase nmax"
+            f"(> {GAUSSIAN_TRACE_DEFICIT_TOL:.1e}); increase nmax"
         )
     return _finalize(cut, deficit=max(deficit, 0.0))
 
 
-def cat_state(
-    alpha: float,
-    parity: str,
-    nmax: int,
-    *,
-    max_norm_deficit: float = 1e-8,
-) -> np.ndarray:
+def cat_state(alpha: float, parity: str, nmax: int) -> np.ndarray:
     """Normalized even/odd cat state vector (|alpha> +/- |-alpha>) in the Fock basis.
 
     parity: "even" or "odd". The odd cat at alpha = 0 is defined as its limit |1>.
-    Raises NumericsError if the truncated basis misses more than `max_norm_deficit`
-    of the untruncated norm.
+    Raises NumericsError if the truncated basis misses CAT_NORM_DEFICIT_TOL or
+    more of the untruncated norm.
     """
     if parity not in ("even", "odd"):
         raise ValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -220,7 +211,7 @@ def cat_state(
     # sum_{n in parity} alpha^(2n)/n! = cosh(alpha^2) or sinh(alpha^2).
     total = math.sinh(alpha**2) if parity == "odd" else math.cosh(alpha**2)
     deficit = 1.0 - included / total
-    if deficit >= max_norm_deficit:
+    if deficit >= CAT_NORM_DEFICIT_TOL:
         raise NumericsError(
             f"cat state at alpha={alpha} loses norm {deficit:.3e} at nmax={nmax}"
         )
@@ -300,8 +291,8 @@ def phase_diffusion(rho: FockDensityMatrix, sigma: float) -> FockDensityMatrix:
     the state over a Normal(0, sigma^2) phase-space rotation. Diagonal
     (and hence photon statistics and parity) untouched.
     """
-    if sigma < 0.0:
-        raise ValidationError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
     n = np.arange(rho.dim)
     delta = n[:, None] - n[None, :]
     damp = np.exp(-0.5 * sigma**2 * delta.astype(float) ** 2)
@@ -402,54 +393,31 @@ def state_fidelity(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
     return float(np.sqrt(mid_evals).sum() ** 2)
 
 
-def _cat_cutoff(alpha: float, floor: int) -> int:
-    """Cutoff with untruncated-norm deficit safely below 1e-8 for cat_state(alpha)."""
-    guess = max(floor, int(math.ceil(alpha**2 + 12.0 * alpha + 10.0)))
-    return guess
+def cat_fidelity(rho: FockDensityMatrix, alpha: float) -> float:
+    """Fidelity of rho with the ideal (untruncated) odd cat of amplitude alpha.
 
-
-def cat_fidelity(
-    rho: FockDensityMatrix,
-    alpha: float,
-    parity: str = "odd",
-    orientation: float = math.pi / 2,
-) -> float:
-    """Fidelity of rho with an ideal (untruncated) cat state of amplitude alpha.
-
-    The cat is built at a cutoff large enough that its norm deficit is < 1e-8,
-    then only the components inside rho's truncated space contribute (rho is
-    implicitly zero-padded). `orientation` rotates the cat in phase space; the
-    default pi/2 puts the coherent lobes along p, which is where kitten states
-    produced from x-squeezed light develop theirs.
+    The cat's coherent lobes lie along p, where kitten states produced from
+    x-squeezed light develop theirs. It is built at a cutoff large enough that
+    its norm deficit is safely below 1e-8, then only the components inside
+    rho's truncated space contribute (rho is implicitly zero-padded).
     """
-    big = _cat_cutoff(alpha, rho.nmax)
-    vec = cat_state(alpha, parity, big).astype(complex)
-    if orientation != 0.0:
-        vec *= np.exp(1j * orientation * np.arange(big + 1))
+    big = max(rho.nmax, int(math.ceil(alpha**2 + 12.0 * alpha + 10.0)))
+    vec = cat_state(alpha, "odd", big).astype(complex)
+    vec *= np.exp(1j * (math.pi / 2) * np.arange(big + 1))
     head = vec[: rho.dim]
     val = np.vdot(head, rho.entries @ head)
     return float(val.real)
 
 
-def best_cat_fidelity(
-    rho: FockDensityMatrix,
-    parity: str = "odd",
-    alpha_range: tuple[float, float] = (0.01, 2.0),
-    alpha_step: float = 0.01,
-    refine_tol: float = 1e-4,
-    orientation: float = math.pi / 2,
-) -> tuple[float, float]:
-    """Maximize the cat fidelity over the amplitude alpha.
+def best_cat_fidelity(rho: FockDensityMatrix) -> tuple[float, float]:
+    """Maximize the odd, p-lobed cat fidelity over the amplitude alpha.
 
-    Deterministic grid scan over [alpha_range] with `alpha_step`, followed by a
-    golden-section refinement of the best bracket down to `refine_tol` in alpha.
+    Deterministic grid scan over alpha in [0.01, 2] in steps of 0.01, followed
+    by a golden-section refinement of the best bracket down to 1e-4 in alpha.
     Returns (alpha_star, fidelity_star).
     """
-    lo, hi = alpha_range
-    if not (0.0 < lo < hi):
-        raise ValidationError("alpha_range must satisfy 0 < lo < hi")
-    alphas = np.arange(lo, hi + 0.5 * alpha_step, alpha_step)
-    scores = np.array([cat_fidelity(rho, float(al), parity, orientation) for al in alphas])
+    alphas = np.arange(0.01, 2.0 + 0.5 * 0.01, 0.01)
+    scores = np.array([cat_fidelity(rho, float(al)) for al in alphas])
     best = int(np.argmax(scores))
 
     a = alphas[max(best - 1, 0)]
@@ -457,19 +425,19 @@ def best_cat_fidelity(
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
-    fc = cat_fidelity(rho, float(c), parity, orientation)
-    fe = cat_fidelity(rho, float(e), parity, orientation)
-    while (b - a) > refine_tol:
+    fc = cat_fidelity(rho, float(c))
+    fe = cat_fidelity(rho, float(e))
+    while (b - a) > 1e-4:
         if fc > fe:
             b, e, fe = e, c, fc
             c = b - invphi * (b - a)
-            fc = cat_fidelity(rho, float(c), parity, orientation)
+            fc = cat_fidelity(rho, float(c))
         else:
             a, c, fc = c, e, fe
             e = a + invphi * (b - a)
-            fe = cat_fidelity(rho, float(e), parity, orientation)
+            fe = cat_fidelity(rho, float(e))
     alpha_star = 0.5 * (a + b)
-    return float(alpha_star), cat_fidelity(rho, float(alpha_star), parity, orientation)
+    return float(alpha_star), cat_fidelity(rho, float(alpha_star))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ class StateSection:
     nmax: int = 20
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.v_x_db) and math.isfinite(self.v_p_db)):
+            raise ValidationError("v_x_db and v_p_db must be finite")
         if not 0.0 <= self.purity_mix <= 1.0:
             raise ValidationError("purity_mix must lie in [0, 1]")
         if self.nmax < 2:
@@ -66,8 +68,8 @@ class ChannelSection:
     def __post_init__(self) -> None:
         if not 0.0 < self.link_eta <= 1.0:
             raise ValidationError("link_eta must lie in (0, 1]")
-        if self.phase_sigma_deg < 0.0:
-            raise ValidationError("phase_sigma_deg must be >= 0")
+        if not 0.0 <= self.phase_sigma_deg < math.inf:
+            raise ValidationError("phase_sigma_deg must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,7 @@ class ReconstructionSection:
             )
         if self.bootstrap_resamples < 0:
             raise ValidationError("bootstrap_resamples must be >= 0")
+        self.to_config()  # checks nmax, max_iters and loglik_tol as the reconstruction will
 
     def _bin_count(self) -> int:
         return round((self.bin_max - self.bin_min) / self.bin_width)
@@ -306,10 +309,7 @@ def simulate_source_state(state: StateSection) -> tuple[FockDensityMatrix, float
 
 def apply_link(rho: FockDensityMatrix, channel: ChannelSection) -> FockDensityMatrix:
     out = loss_channel(rho, channel.link_eta)
-    sigma = math.radians(channel.phase_sigma_deg)
-    if sigma > 0.0:
-        out = phase_diffusion(out, sigma)
-    return out
+    return phase_diffusion(out, math.radians(channel.phase_sigma_deg))
 
 
 def detect_and_sample(

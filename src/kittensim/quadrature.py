@@ -179,8 +179,8 @@ class QuadratureDataset:
     def __len__(self) -> int:
         return self.values.size
 
-    def for_angle(self, theta: float, tol: float = ANGLE_TOL) -> np.ndarray:
-        selected = self.values[np.abs(self.angles - theta) < tol]
+    def for_angle(self, theta: float) -> np.ndarray:
+        selected = self.values[np.abs(self.angles - theta) < ANGLE_TOL]
         if selected.size == 0:
             raise ValidationError(f"no samples recorded at angle {theta} rad")
         return selected

@@ -210,7 +210,6 @@ def _box_least_squares(
 def joint_fit(
     data: SpectrumData,
     gamma: float,
-    init: SpectrumModelParams | None = None,
     *,
     fit_db: bool = False,
     max_outer: int = 500,
@@ -223,12 +222,11 @@ def joint_fit(
     Levenberg-Marquardt run from a single start fits the phase contrast
     D = exp(-2 sigma^2) in [exp(-2 pi^2), 1] in place of sigma: the model
     depends on sigma only through D, so its gradient in sigma vanishes at
-    sigma = 0 while the gradient in D does not. Deterministic given the data and
-    the initial guess; the default initialization is epsilon = gamma/4,
-    eta = 0.5, sigma = 10 degrees and the nominal angles. `iterations` counts
-    Levenberg-Marquardt steps and `max_outer` caps them; a capped fit returns
-    its best point with converged=False. `projected` reports epsilon, eta or D
-    ending on a bound.
+    sigma = 0 while the gradient in D does not. Deterministic given the data;
+    the fit starts from epsilon = gamma/4, eta = 0.5, sigma = 10 degrees and
+    the nominal angles. `iterations` counts Levenberg-Marquardt steps and
+    `max_outer` caps them; a capped fit returns its best point with
+    converged=False. `projected` reports epsilon, eta or D ending on a bound.
     """
     angles = data.nominal_angles
     if len(angles) < 2:
@@ -262,18 +260,7 @@ def joint_fit(
             model = 10.0 * np.log10(np.maximum(model, 1e-12) / 0.5)
         return model - stacked
 
-    if init is None:
-        init = SpectrumModelParams(
-            gamma=gamma,
-            epsilon=0.25 * gamma,
-            eta=0.5,
-            sigma=math.radians(10.0),
-            theta_true={a: a for a in angles},
-        )
-    start = np.array(
-        [init.epsilon / gamma, init.eta, math.exp(-2.0 * init.sigma**2)]
-        + [init.true_angle(a) for a in free_angles]
-    )
+    start = np.array([0.25, 0.5, math.exp(-2.0 * math.radians(10.0) ** 2), *free_angles])
     lower = np.concatenate([[0.0, 0.0, math.exp(-2.0 * math.pi**2)],
                             np.full(len(free_angles), -np.inf)])
     upper = np.concatenate([[0.999, 1.0, 1.0], np.full(len(free_angles), np.inf)])

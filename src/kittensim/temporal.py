@@ -135,22 +135,15 @@ def build_mode(
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _trace_values(trace) -> tuple[np.ndarray, float | None]:
-    if isinstance(trace, TimeTrace):
-        return trace.values, trace.sample_rate
-    return np.asarray(trace, dtype=float), None
-
-
-def extract_quadrature(trace, mode: ModeFunction) -> float:
+def extract_quadrature(trace: TimeTrace, mode: ModeFunction) -> float:
     """Project a single trace onto the mode: q = sum_i w_i v_i."""
-    values, rate = _trace_values(trace)
-    if values.shape != mode.weights.shape:
+    if trace.values.shape != mode.weights.shape:
         raise ValidationError(
-            f"trace length {values.shape} does not match mode length {mode.weights.shape}"
+            f"trace length {trace.values.shape} does not match mode length {mode.weights.shape}"
         )
-    if rate is not None and not math.isclose(rate, mode.sample_rate, rel_tol=1e-9):
+    if not math.isclose(trace.sample_rate, mode.sample_rate, rel_tol=1e-9):
         raise ValidationError("trace and mode sample rates differ")
-    return float(mode.weights @ values)
+    return float(mode.weights @ trace.values)
 
 
 def extract_ensemble(values: np.ndarray, mode: ModeFunction) -> np.ndarray:
@@ -252,8 +245,8 @@ def synthesize_gaussian_traces(
 ) -> np.ndarray:
     """Synthesize stationary Gaussian traces with a target one-sided spectrum.
 
-    `spectrum` is either a vectorized callable V(f) in shot-noise units (flat
-    V = 1/2 is vacuum) or an array on the rfft frequency grid. Each Fourier bin
+    `spectrum` is a vectorized callable V(f) in shot-noise units (flat
+    V = 1/2 is vacuum), evaluated on the rfft frequency grid. Each Fourier bin
     receives an independent complex Gaussian amplitude with E|Z_k|^2 = N V_k,
     which makes the ensemble periodogram |rfft(x)|^2 / N an unbiased estimate
     of V. Returns a (count x N) array; deterministic for a fixed seed.
@@ -266,13 +259,10 @@ def synthesize_gaussian_traces(
     if n < 8:
         raise ValidationError("trace shorter than 8 samples")
     freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    if callable(spectrum):
-        v = np.asarray(spectrum(freqs), dtype=float)
-    else:
-        v = np.asarray(spectrum, dtype=float)
+    v = np.asarray(spectrum(freqs), dtype=float)
     if v.shape != freqs.shape:
         raise ValidationError(
-            f"spectrum array length {v.shape} does not match rfft grid {freqs.shape}"
+            f"spectrum returned shape {v.shape}, not the rfft grid's {freqs.shape}"
         )
     if np.any(v < 0.0) or not np.all(np.isfinite(v)):
         raise ValidationError("spectrum must be finite and non-negative")
@@ -308,20 +298,19 @@ def periodogram(values: np.ndarray, sample_rate: float) -> tuple[np.ndarray, np.
     return freqs, power
 
 
-def mode_variance_from_spectrum(
-    mode: ModeFunction, spectrum, *, oversample: int = 8
-) -> float:
+def mode_variance_from_spectrum(mode: ModeFunction, spectrum) -> float:
     """Frequency-domain prediction of the extracted-quadrature variance.
 
     Var(q) = (2/fs) int_0^{fs/2} V(f) |W(f)|^2 df with W the discrete-time
-    Fourier transform of the unit-norm mode taps; evaluated by zero-padded FFT
-    and trapezoidal integration.
+    Fourier transform of the unit-norm mode taps and V the vectorized callable
+    `spectrum`; evaluated by an 8-fold zero-padded FFT and trapezoidal
+    integration.
     """
     w = mode.weights
-    n_pad = oversample * w.size
+    n_pad = 8 * w.size
     spec_w = np.abs(np.fft.rfft(w, n=n_pad)) ** 2
     freqs = np.fft.rfftfreq(n_pad, d=1.0 / mode.sample_rate)
-    v = np.asarray(spectrum(freqs), dtype=float) if callable(spectrum) else np.asarray(spectrum)
+    v = np.asarray(spectrum(freqs), dtype=float)
     if v.shape != freqs.shape:
         raise ValidationError("spectrum grid mismatch in mode_variance_from_spectrum")
     integrand = v * spec_w

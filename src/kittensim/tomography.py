@@ -49,8 +49,8 @@ class ReconstructionConfig:
             raise ValidationError("nmax must be >= 1")
         if not 0.0 < self.eta_correction <= 1.0:
             raise ValidationError("eta_correction must lie in (0, 1]")
-        if self.max_iters < 1 or self.loglik_tol <= 0.0:
-            raise ValidationError("max_iters must be >= 1 and loglik_tol positive")
+        if self.max_iters < 1 or not 0.0 < self.loglik_tol < math.inf:
+            raise ValidationError("max_iters must be >= 1 and loglik_tol positive and finite")
         overrides = self.angle_overrides or {}
         if not all(map(math.isfinite, [*overrides, *overrides.values()])):
             raise ValidationError("angle_overrides must map finite angles to finite angles")
@@ -147,8 +147,15 @@ class ReconstructionResult:
 
 
 def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) -> np.ndarray:
+    """The true angle of each nominal angle; the table must name exactly `angles`."""
     if overrides is None:
         return angles
+    for nominal in overrides:
+        if match_angle(nominal, angles) is None:
+            raise ValidationError(
+                f"angle override table names nominal angle {math.degrees(nominal):.4f} deg, "
+                "which has no samples"
+            )
     resolved = np.empty_like(angles)
     for i, nominal in enumerate(angles):
         key = match_angle(nominal, overrides)

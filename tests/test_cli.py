@@ -76,6 +76,19 @@ def test_simulate_state_truncation_failure_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "numerics"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--phase-sigma-deg", "nan"), ("--phase-sigma-deg", "inf"), ("--vx-db", "nan")]
+)
+def test_simulate_state_rejects_non_finite_flags(capsys, tmp_path, flag, value):
+    # nan phase noise used to be dropped, inf phase noise and a nan variance to give a NaN state
+    out = tmp_path / "rho.json"
+    rc, _, err = run_cli(capsys, "simulate-state", "--vx-db", "-2.0", "--vp-db", "2.4",
+                         "--nmax", "14", flag, value, "--out", str(out))
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
+    assert not out.exists()
+
+
 def test_usage_error_exits_1_with_json(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "simulate-state", "--bogus-flag", "1")
     assert rc == 1
@@ -197,11 +210,11 @@ def test_identity_angle_table_changes_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "table", ["0:nan,30:31,90:90", "0:inf,30:31,90:90", "0:0,0:5,30:31,90:90",
-              "0:0,,30:31,90:90", "30"]
+              "0:0,,30:31,90:90", "30", "0:0,30:31,90:90,45:80"]
 )
 def test_bad_angle_table_exits_1(capsys, tmp_path, table):
-    # the first four used to run: to a NaN state, or keeping the last entry
-    # for 0 deg, or skipping the empty one
+    # all but "30" used to run: to a NaN state, or keeping the last entry
+    # for 0 deg, or skipping the empty one or the 45 deg entry with no samples
     rc, err, out_rho = _angle_table_run(capsys, tmp_path, "--true-angles-deg", table)
     assert rc == 1
     assert json.loads(err)["error"] == "validation"

@@ -67,6 +67,17 @@ def test_gaussian_state_rejects_uncertainty_violation():
         GaussianStateSpec(0.3, 0.3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_variance_or_phase_spread_rejected(kitten, value):
+    # these used to build a NaN state
+    with pytest.raises(ValidationError):
+        GaussianStateSpec(value, 0.5)
+    with pytest.raises(ValidationError):
+        GaussianStateSpec(0.5, value)
+    with pytest.raises(ValidationError):
+        phase_diffusion(kitten, value)
+
+
 def test_gaussian_state_truncation_gate():
     with pytest.raises(NumericsError):
         gaussian_state(GaussianStateSpec(variance_from_db(-4.0), variance_from_db(6.0)), nmax=5)
@@ -315,10 +326,12 @@ def test_best_cat_fidelity_purified_kitten():
 
 def test_cat_orientation_matters(kitten):
     # the subtracted x-squeezed state overlaps the cat whose lobes point
-    # along p far better than the x-lobed one
-    f_default = cat_fidelity(kitten, 0.9)
-    f_x = cat_fidelity(kitten, 0.9, orientation=0.0)
-    assert f_default > f_x + 0.2
+    # along p far better than the same state turned by 90 degrees
+    n = np.arange(kitten.dim)
+    turned = FockDensityMatrix(
+        nmax=kitten.nmax, entries=kitten.entries * np.exp(1j * (n[:, None] - n) * math.pi / 2)
+    )
+    assert cat_fidelity(kitten, 0.9) > cat_fidelity(turned, 0.9) + 0.2
 
 
 def test_fidelity_definitions_agree(kitten):

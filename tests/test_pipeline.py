@@ -104,6 +104,27 @@ def test_config_rejects_bin_width_that_does_not_tile(tmp_path, width, message):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("state", "v_x_db"), ("state", "v_p_db"), ("channel", "phase_sigma_deg"),
+     ("reconstruction", "loglik_tol")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_rejects_non_finite_numbers(tmp_path, section, key, value):
+    # these used to load: nan phase noise was then dropped, an infinite loglik_tol
+    # stopped the reconstruction after two iterations, a nan variance gave a NaN state.
+    # The other number keys already refused nan and inf through their range checks.
+    sections = {"state": {"v_x_db": "-2.0", "v_p_db": "2.4"}}
+    sections.setdefault(section, {})[key] = value
+    path = tmp_path / "exp.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        for name, body in sections.items()
+    ))
+    with pytest.raises(ValidationError, match=key):
+        load_config(path)
+
+
 def test_bin_grid_at_the_cap_loads():
     edges = ReconstructionSection(bin_width=12.0 / MAX_BIN_COUNT).bin_edges()
     assert edges.size == MAX_BIN_COUNT + 1

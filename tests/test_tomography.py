@@ -202,6 +202,14 @@ def test_angle_overrides_must_cover_dataset(lossy_kitten):
     config = ReconstructionConfig(nmax=6, max_iters=50)
     with pytest.raises(ValidationError):
         reconstruct_with_angles(dataset, config, {0.0: 0.0})
+    # and name no angle without samples, in the reconstruction and the bootstrap
+    extra = {**{th: th for th in np.unique(dataset.angles)}, math.radians(45.0): 1.0}
+    with pytest.raises(ValidationError, match="no samples"):
+        reconstruct_with_angles(dataset, config, extra)
+    with pytest.raises(ValidationError, match="no samples"):
+        bootstrap_metric(lossy_kitten, replace(config, angle_overrides=extra),
+                         per_angle_counts=dict.fromkeys(np.unique(dataset.angles), 500),
+                         n_resamples=2, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -397,6 +405,13 @@ def test_bootstrap_requires_successful_resamples(lossy_kitten):
 def test_bootstrap_requires_positive_counts(lossy_kitten):
     with pytest.raises(ValidationError):
         bootstrap_metric(lossy_kitten, ReconstructionConfig(nmax=6), {0.0: 100, 1.0: 0})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_config_rejects_bad_loglik_tol(tol):
+    # inf used to stop after two iterations, nan to run all of them
+    with pytest.raises(ValidationError):
+        ReconstructionConfig(loglik_tol=tol)
 
 
 def test_bin_edges_must_increase():
