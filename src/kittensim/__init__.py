@@ -33,7 +33,9 @@ from .fock import (
 from .quadrature import (
     QuadratureDataset,
     dataset_from_angle_blocks,
+    draw_homodyne,
     fock_wavefunctions,
+    homodyne_cdfs,
     load_samples_csv,
     marginal_pdf,
     marginal_variance,

@@ -8,6 +8,7 @@ in memory; file formats use degrees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fock import FockDensityMatrix
-from .util import ANGLE_TOL, read_csv, write_csv
+from .util import read_csv, write_csv
 
 # The fixed inverse-CDF sampling grid; a marginal with more than MASS_DEFICIT_TOL of
 # its mass off the grid is rejected, not truncated.
@@ -96,35 +97,27 @@ def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_homodyne(
-    rho: FockDensityMatrix,
-    angles,
-    count,
-    seeds,
-    tags=None,
-) -> QuadratureDataset:
-    """Draw homodyne samples at each angle (radians) by inverse-CDF lookup.
+@functools.lru_cache(maxsize=2)
+def _sampling_wavefunctions(nmax: int) -> np.ndarray:
+    """psi_0..psi_nmax on SAMPLING_GRID, read-only: every draw at this nmax shares it."""
+    psi = fock_wavefunctions(nmax, SAMPLING_GRID)
+    psi.setflags(write=False)
+    return psi
 
-    Angle a gets `count` samples (or count[a]) from default_rng(seeds[a]) and
-    the tag tags[a], by default the angle itself; data measured at true angles
-    carry their nominal ones as tags. The wavefunctions are evaluated on
-    SAMPLING_GRID once per call. Raises ValidationError on repeated tags and
-    NumericsError if more than MASS_DEFICIT_TOL of a marginal lies off the grid.
+
+def homodyne_cdfs(rho: FockDensityMatrix, angles) -> np.ndarray:
+    """Normalised CDFs of the quadrature marginals on SAMPLING_GRID, one row per angle.
+
+    The pdf is integrated by the trapezoid rule. Raises NumericsError if more
+    than MASS_DEFICIT_TOL of a marginal lies off the grid.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    tags = angles if tags is None else np.asarray(tags, dtype=float)
-    if not angles.size or not tags.shape == angles.shape == (len(seeds),):
-        raise ValidationError("need one or more sampling angles, each with one seed and one tag")
-    counts = np.broadcast_to(np.asarray(count, dtype=int), angles.shape)
-    # a set, not np.unique, which imports numpy.ma; 0.0 and -0.0 are one tag
-    if len(set(tags.tolist())) != tags.size:
-        raise ValidationError("repeated sampling angle: each angle is drawn once")
-    if np.any(counts < 0):
-        raise ValidationError("count must be >= 0")
-    psi = fock_wavefunctions(rho.nmax, SAMPLING_GRID)
+    if angles.ndim != 1 or not angles.size:
+        raise ValidationError("need one or more sampling angles")
+    psi = _sampling_wavefunctions(rho.nmax)
     dx = SAMPLING_GRID[1] - SAMPLING_GRID[0]
-    blocks = []
-    for theta, rotated, n, seed in zip(angles, _rotated_real(rho, angles), counts, seeds):
+    cdfs = np.empty((angles.size, SAMPLING_GRID.size))
+    for cdf, theta, rotated in zip(cdfs, angles, _rotated_real(rho, angles)):
         pdf = np.clip(np.einsum("mg,mg->g", psi, rotated @ psi), 0.0, None)
         mass = float(np.trapezoid(pdf, dx=dx))
         if abs(1.0 - mass) > MASS_DEFICIT_TOL:
@@ -133,8 +126,29 @@ def sample_homodyne(
                 f"{math.degrees(theta):.4f} deg is {mass:.6f}; the state is too "
                 "energetic to sample"
             )
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
+        cdf[0] = 0.0
+        np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx, out=cdf[1:])
         cdf /= cdf[-1]
+    return cdfs
+
+
+def draw_homodyne(cdfs: np.ndarray, count, seeds, tags) -> QuadratureDataset:
+    """Draw samples from the per-angle CDFs of `homodyne_cdfs` by inverse-CDF lookup.
+
+    Row a gets `count` samples (or count[a]) from default_rng(seeds[a]), each
+    tagged tags[a]. Raises ValidationError on repeated tags.
+    """
+    tags = np.asarray(tags, dtype=float)
+    if not tags.shape == (len(cdfs),) == (len(seeds),):
+        raise ValidationError("each sampling angle needs one seed and one tag")
+    counts = np.broadcast_to(np.asarray(count, dtype=int), tags.shape)
+    # a set, not np.unique, which imports numpy.ma; 0.0 and -0.0 are one tag
+    if len(set(tags.tolist())) != tags.size:
+        raise ValidationError("repeated sampling angle: each angle is drawn once")
+    if np.any(counts < 0):
+        raise ValidationError("count must be >= 0")
+    blocks = []
+    for cdf, n, seed in zip(cdfs, counts, seeds):
         # np.interp maps each value on its own, and sorted values look up faster
         uniform = np.random.default_rng(seed).random(n)
         order = np.argsort(uniform)
@@ -142,6 +156,23 @@ def sample_homodyne(
         drawn[order] = np.interp(uniform[order], cdf, SAMPLING_GRID)
         blocks.append(drawn)
     return QuadratureDataset(angles=np.repeat(tags, counts), values=np.concatenate(blocks))
+
+
+def sample_homodyne(
+    rho: FockDensityMatrix,
+    angles,
+    count,
+    seeds,
+    tags=None,
+) -> QuadratureDataset:
+    """Draw homodyne samples at each angle (radians): `homodyne_cdfs`, then `draw_homodyne`.
+
+    Angle a gets `count` samples (or count[a]) from default_rng(seeds[a]) and
+    the tag tags[a], by default the angle itself; data measured at true angles
+    carry their nominal ones as tags.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    return draw_homodyne(homodyne_cdfs(rho, angles), count, seeds, angles if tags is None else tags)
 
 
 def sample_quadratures(
@@ -178,12 +209,6 @@ class QuadratureDataset:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def for_angle(self, theta: float) -> np.ndarray:
-        selected = self.values[np.abs(self.angles - theta) < ANGLE_TOL]
-        if selected.size == 0:
-            raise ValidationError(f"no samples recorded at angle {theta} rad")
-        return selected
 
 
 def dataset_from_angle_blocks(blocks: dict[float, np.ndarray]) -> QuadratureDataset:

@@ -251,8 +251,11 @@ def synthesize_gaussian_traces(
     which makes the ensemble periodogram |rfft(x)|^2 / N an unbiased estimate
     of V. Returns a (count x N) array; deterministic for a fixed seed.
     """
-    if duration <= 0.0 or sample_rate <= 0.0:
-        raise ValidationError("duration and sample_rate must be positive")
+    if not (0.0 < duration < math.inf and 0.0 < sample_rate < math.inf
+            and duration * sample_rate < math.inf):
+        raise ValidationError(
+            "duration, sample_rate and their product must be positive and finite"
+        )
     if count < 1:
         raise ValidationError("count must be >= 1")
     n = int(round(duration * sample_rate))

@@ -18,9 +18,10 @@ from .fock import FockDensityMatrix, loss_adjoint, loss_channel, wigner_origin
 from .quadrature import (
     QuadratureDataset,
     _angle_phases,
+    draw_homodyne,
     fock_wavefunctions,
+    homodyne_cdfs,
     marginal_variance,
-    sample_homodyne,
 )
 from .util import match_angle
 
@@ -81,9 +82,31 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
     edges = config.bin_edges
-    angles, angle_index = np.unique(dataset.angles, return_inverse=True)
+    # samples come in runs of one tag: unique the runs, not every sample
+    tags = dataset.angles
+    starts = np.flatnonzero(np.concatenate([[True], tags[1:] != tags[:-1]]))
+    angles, run_index = np.unique(tags[starts], return_inverse=True)
+    angle_index = np.repeat(run_index, np.diff(starts, append=tags.size))
     # bin 0 is below edges[0]; the last bin takes values >= edges[-1]
-    bins = np.searchsorted(edges, dataset.values, side="right")
+    values = dataset.values
+    # the first guess, from the mean edge spacing, is exact on a uniform grid
+    # up to rounding; clipped to [0, edges.size] it truncates to its floor, and
+    # fmax/fmin, unlike clip, also bring the NaN of an overflowed span into range
+    with np.errstate(all="ignore"):
+        step = (edges[-1] - edges[0]) / (edges.size - 1)
+        guess = (values - edges[0]) / step + 1.0
+    bins = np.fmin(np.fmax(guess, 0.0, out=guess), edges.size, out=guess).astype(np.intp)
+    # bin b holds lower[b] <= v < upper[b]; each pass moves every misplaced
+    # sample one bin towards its own, so the result is exact on any grid
+    lower = np.concatenate([[-np.inf], edges])
+    upper = np.concatenate([edges, [np.inf]])
+    while True:
+        up = values >= upper.take(bins)
+        bins += up
+        down = values < lower.take(bins)
+        bins -= down
+        if not (up.any() or down.any()):
+            break
     columns = edges.size + 1
     counts = np.bincount(angle_index * columns + bins, minlength=angles.size * columns)
     counts = counts.reshape(angles.size, columns).astype(float)
@@ -322,7 +345,9 @@ def bootstrap_metric(
     angles = sorted(per_angle_counts)
     counts = [per_angle_counts[th] for th in angles]
     draw_angles = _resolve_angles(np.asarray(angles), config.angle_overrides)
-    # every resample bins at the same angles on the same grid: one block, one phase set
+    # every resample draws from the same marginals and bins at the same angles
+    # on the same grid: one set of CDFs, one block, one phase set
+    cdfs = homodyne_cdfs(detected, draw_angles)
     block = _povm_block(config.bin_edges, config.eta_correction, config.nmax)
     phases = _angle_phases(draw_angles, config.nmax + 1)
     root = np.random.SeedSequence(seed)
@@ -331,7 +356,7 @@ def bootstrap_metric(
     def one(idx: int) -> float | None:
         # one plain integer sampler seed per angle, derived from the resample's sequence
         seeds = [int(s.generate_state(1)[0]) for s in resample_seeds[idx].spawn(len(angles))]
-        dataset = sample_homodyne(detected, draw_angles, counts, seeds, tags=angles)
+        dataset = draw_homodyne(cdfs, counts, seeds, angles)
         try:
             binned = bin_dataset(dataset, config)
             result = _mle_core(block, phases, binned, config)

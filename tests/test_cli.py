@@ -306,6 +306,20 @@ def test_synth_extract_round_trip(capsys, tmp_path):
     assert len(ds.values) == 1200
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--duration-us", "nan"), ("--duration-us", "inf"),
+     ("--sample-rate-msps", "inf"), ("--sample-rate-msps", "nan")],
+)
+def test_synth_traces_rejects_non_finite_flags(capsys, tmp_path, flag, value):
+    out_dir = tmp_path / "traces"
+    rc, _, err = run_cli(capsys, "synth-traces", "--spectrum", "flat", "--count", "2",
+                         "--out-dir", str(out_dir), flag, value)
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
+    assert not out_dir.exists()
+
+
 def test_fit_spectrum_cli(capsys, tmp_path):
     gamma = 2 * math.pi * 8.0e6
     truth = SpectrumModelParams(

@@ -7,7 +7,9 @@ from kittensim import (
     FockDensityMatrix,
     GaussianStateSpec,
     NumericsError,
+    ReconstructionConfig,
     ValidationError,
+    bootstrap_metric,
     build_povm_stack,
     dataset_from_angle_blocks,
     fock_wavefunctions,
@@ -131,6 +133,8 @@ def test_sample_homodyne_rejects_repeated_tags(kitten, tags):
 
 
 def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
+    # the wavefunction table on SAMPLING_GRID is built once per nmax: later
+    # draws and a whole bootstrap at the same nmax reuse it
     import kittensim.quadrature as quadrature
 
     calls = []
@@ -138,8 +142,20 @@ def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
     monkeypatch.setattr(
         quadrature, "fock_wavefunctions", lambda *a: calls.append(a) or original(*a)
     )
+    quadrature._sampling_wavefunctions.cache_clear()
     sample_homodyne(kitten, np.radians([0.0, 30.0, 60.0, 90.0]), 10, [1, 2, 3, 4])
     assert len(calls) == 1
+    sample_homodyne(kitten, [0.2, 0.7], [5, 8], [5, 6])
+    sample_quadratures(kitten, 1.1, 10, seed=7)
+    bootstrap_metric(
+        kitten,
+        ReconstructionConfig(nmax=6),
+        per_angle_counts={0.0: 300, math.pi / 4: 300, math.pi / 2: 300},
+        n_resamples=2,
+        seed=1,
+    )
+    assert len(calls) == 1
+    assert not quadrature._sampling_wavefunctions(kitten.nmax).flags.writeable
 
 
 def test_dataset_round_trip(tmp_path, kitten):
@@ -155,14 +171,8 @@ def test_dataset_round_trip(tmp_path, kitten):
     np.testing.assert_array_equal(back.values, ds.values)
     np.testing.assert_array_equal(back.angles, ds.angles)
     np.testing.assert_array_equal(
-        back.for_angle(math.radians(30.0)), blocks[math.radians(30.0)]
+        back.values[back.angles == math.radians(30.0)], blocks[math.radians(30.0)]
     )
-
-
-def test_dataset_missing_angle_rejected(kitten):
-    ds = dataset_from_angle_blocks({0.0: sample_quadratures(kitten, 0.0, 50, seed=1)})
-    with pytest.raises(ValidationError):
-        ds.for_angle(0.5)
 
 
 def test_dataset_requires_matching_lengths():

@@ -117,6 +117,15 @@ def test_synthesis_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "duration, sample_rate", [(math.nan, FS), (1.0e-6, math.inf), (1e200, 1e200)]
+)
+def test_synthesis_rejects_non_finite_timing(duration, sample_rate):
+    # the last pair is finite but its sample count is not
+    with pytest.raises(ValidationError):
+        synthesize_gaussian_traces(flat_half, duration, sample_rate, 4, seed=1)
+
+
 def test_synthesis_stream_is_pinned_across_draw_blocks():
     # 2050 traces span two 2048-trace draw blocks; the values and the digest
     # were recorded from the synthesis that transformed each block at once

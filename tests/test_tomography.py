@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kittensim import tomography
-from kittensim.quadrature import sample_homodyne
+from kittensim.quadrature import draw_homodyne, sample_homodyne
 from kittensim import (
     NumericsError,
     QuadratureDataset,
@@ -83,6 +83,55 @@ def test_bin_dataset_matches_per_angle_histogram():
         inner[-1] -= np.count_nonzero(vals == edges[-1])
         expected = [np.count_nonzero(vals < edges[0]), *inner, np.count_nonzero(vals >= edges[-1])]
         np.testing.assert_array_equal(row, expected)
+
+
+def reference_bin_dataset(dataset, edges):
+    # the binary-search histogram that bin_dataset replaced, kept as its reference
+    angles, angle_index = np.unique(dataset.angles, return_inverse=True)
+    bins = np.searchsorted(edges, dataset.values, side="right")
+    columns = edges.size + 1
+    counts = np.bincount(angle_index * columns + bins, minlength=angles.size * columns)
+    counts = counts.reshape(angles.size, columns).astype(float)
+    return angles, counts, float((counts[:, 0].sum() + counts[:, -1].sum()) / counts.sum())
+
+
+def random_grids(kind, rng):
+    if kind == "shipped":
+        return [default_bin_edges()]
+    if kind == "linspace":
+        return [
+            np.linspace(lo, lo + rng.uniform(1e-3, 20.0), rng.integers(2, 300))
+            for lo in rng.uniform(-12.0, 6.0, 150)
+        ]
+    if kind == "nonuniform":
+        return [
+            np.cumsum(rng.exponential(rng.uniform(0.01, 1.0), rng.integers(2, 200)))
+            - rng.uniform(0.0, 20.0)
+            for _ in range(150)
+        ] + [np.geomspace(1e-6, 10.0, 80), np.array([-1e308, -1.0, 0.0, 1e308])]
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["shipped", "linspace", "nonuniform"])
+def test_bin_dataset_matches_binary_search_reference(kind):
+    # bit for bit on counts, angles and the out-of-range fraction, with values
+    # on every edge, one ulp either side of it and far outside, and with the
+    # angle tags interleaved rather than in one run per angle
+    rng = np.random.default_rng(["shipped", "linspace", "nonuniform"].index(kind))
+    for edges in random_grids(kind, rng):
+        spread = max(1.0, float(np.abs(edges[[0, -1]]).max()))
+        values = np.concatenate([
+            np.clip(rng.normal(0.0, spread, 3000), -1e307, 1e307),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-1e300, 1e300],
+        ])
+        tags = rng.choice([0.0, 0.4, 1.3, 2.5], values.size)
+        dataset = QuadratureDataset(angles=tags, values=values)
+        binned = bin_dataset(dataset, ReconstructionConfig(nmax=2, bin_edges=edges))
+        angles, counts, out_frac = reference_bin_dataset(dataset, edges)
+        assert binned.angles.tobytes() == angles.tobytes()
+        assert binned.counts.tobytes() == counts.tobytes()
+        assert binned.out_of_range_fraction == out_frac
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.88])
@@ -341,11 +390,11 @@ def test_bootstrap_stream_is_pinned(lossy_kitten, monkeypatch):
     digests = []
 
     def recording_sampler(*args, **kwargs):
-        dataset = sample_homodyne(*args, **kwargs)
+        dataset = draw_homodyne(*args, **kwargs)
         digests.append(hashlib.sha256(dataset.values.tobytes()).hexdigest())
         return dataset
 
-    monkeypatch.setattr(tomography, "sample_homodyne", recording_sampler)
+    monkeypatch.setattr(tomography, "draw_homodyne", recording_sampler)
     boot = bootstrap_metric(
         lossy_kitten,
         ReconstructionConfig(nmax=6, eta_correction=HD_ETA),
@@ -361,6 +410,28 @@ def test_bootstrap_stream_is_pinned(lossy_kitten, monkeypatch):
     # W(0,0) of each resample, re-recorded when the R rho R step moved to the
     # packed block and the occupied bins (each moved by <= 1.2e-16)
     expected = [-0.024498677832018187, -0.01847426605797142, -0.05860277967540063]
+    np.testing.assert_array_equal(boot.values, expected)
+
+
+def test_bootstrap_resamples_are_sample_homodyne_draws(lossy_kitten):
+    # the bootstrap builds the marginal CDFs once; each resample's W(0,0) must
+    # equal that of a fresh sample_homodyne draw on the same seeds
+    nominal = np.radians([0.0, 60.0, 120.0])
+    true = np.radians([0.0, 63.0, 118.0])
+    counts = [400, 500, 300]
+    config = ReconstructionConfig(
+        nmax=6, eta_correction=HD_ETA, angle_overrides=dict(zip(nominal, true))
+    )
+    boot = bootstrap_metric(
+        lossy_kitten, config, dict(zip(nominal, counts)), n_resamples=3, seed=6
+    )
+    detected = loss_channel(lossy_kitten, HD_ETA)
+    expected = []
+    for resample in np.random.SeedSequence(6).spawn(3):
+        seeds = [int(s.generate_state(1)[0]) for s in resample.spawn(nominal.size)]
+        dataset = sample_homodyne(detected, true, counts, seeds, tags=nominal)
+        expected.append(mle_reconstruct(dataset, config).metrics["w00"])
+    assert boot.failures == 0
     np.testing.assert_array_equal(boot.values, expected)
 
 
