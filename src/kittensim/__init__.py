@@ -80,7 +80,6 @@ from .tomography import (
     bin_dataset,
     bootstrap_metric,
     build_povm_stack,
-    default_bin_edges,
     mle_reconstruct,
     reconstruct_with_angles,
 )
@@ -97,7 +96,6 @@ from .pipeline import (
     config_as_dict,
     load_config,
     run_pipeline,
-    sample_homodyne_dataset,
     save_config,
     simulate_source_state,
     verify_run_dir,

@@ -67,22 +67,22 @@ _RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters",
 
 
 def _add_section_flags(parser: argparse.ArgumentParser, section, names) -> None:
-    """One --flag per named config-section field, typed and defaulted as the field is."""
+    """One --flag per named field of a config dataclass, typed and defaulted as the field is."""
     for name in names:
         value = getattr(section, name)
         parser.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
 
 
 def _add_reconstruction_flags(parser: argparse.ArgumentParser) -> None:
-    """The reconstruct/bootstrap flags, with the pipeline's [reconstruction] defaults."""
+    """The reconstruct/bootstrap flags, defaulted as ReconstructionConfig is."""
     parser.add_argument("--eta", type=float, default=ReconstructionConfig.eta_correction)
-    _add_section_flags(parser, ReconstructionSection, _RECONSTRUCTION_FLAGS)
+    _add_section_flags(parser, ReconstructionConfig, _RECONSTRUCTION_FLAGS)
 
 
 def _reconstruction_config(args) -> ReconstructionConfig:
-    """The reconstruct/bootstrap flags as a config, built the way the pipeline builds it."""
-    section = ReconstructionSection(**{name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS})
-    return section.to_config(args.eta)
+    """The reconstruct/bootstrap flags as a config."""
+    recon = {name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS}
+    return ReconstructionConfig(**recon, eta_correction=args.eta)
 
 
 def _rad_per_s(mhz: float) -> float:

@@ -49,6 +49,8 @@ class FockDensityMatrix:
             raise ValidationError(
                 f"dimension {ent.shape[0]} does not match nmax={self.nmax}"
             )
+        if not np.isfinite(ent).all():
+            raise ValidationError("density matrix has a non-finite entry")
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -466,9 +468,10 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
         raise ValidationError(
             f"density-matrix JSON shape {mat.shape} does not match nmax={nmax}"
         )
+    rho = FockDensityMatrix(nmax=nmax, entries=mat)
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density-matrix JSON is not Hermitian within 1e-12")
-    return FockDensityMatrix(nmax=nmax, entries=mat)
+    return rho
 
 
 def save_density_matrix(rho: FockDensityMatrix, path) -> None:

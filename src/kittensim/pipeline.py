@@ -11,7 +11,8 @@ import configparser
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ from .tomography import (
 )
 from .util import atomic_write_text, sha256_file
 
-MAX_BIN_COUNT = 10_000  # the shipped grid has 120; 10^7 would take the POVM block ~16 GB
 _BOOTSTRAP_SEED_OFFSET = 10_000_019
 
 
@@ -99,47 +99,25 @@ class SamplingSection:
 
 @dataclass(frozen=True)
 class ReconstructionSection:
-    nmax: int = 12
-    bin_width: float = 0.1
-    bin_min: float = -6.0
-    bin_max: float = 6.0
-    max_iters: int = 2000
-    loglik_tol: float = 1e-9
+    """The [reconstruction] section: a ReconstructionConfig's fields and the bootstrap size."""
+
+    nmax: int = ReconstructionConfig.nmax
+    bin_width: float = ReconstructionConfig.bin_width
+    bin_min: float = ReconstructionConfig.bin_min
+    bin_max: float = ReconstructionConfig.bin_max
+    max_iters: int = ReconstructionConfig.max_iters
+    loglik_tol: float = ReconstructionConfig.loglik_tol
     bootstrap_resamples: int = 50
 
     def __post_init__(self) -> None:
-        finite = all(math.isfinite(v) for v in (self.bin_width, self.bin_min, self.bin_max))
-        if not finite or self.bin_width <= 0.0 or self.bin_max <= self.bin_min:
-            raise ValidationError("reconstruction bin grid is degenerate")
-        span = self.bin_max - self.bin_min
-        widths = span / self.bin_width
-        if widths > MAX_BIN_COUNT + 0.5:  # more than MAX_BIN_COUNT bins once rounded
-            raise ValidationError(
-                f"{widths:.6g} bins of width {self.bin_width!r}; at most {MAX_BIN_COUNT} allowed"
-            )
-        if not abs(self._bin_count() * self.bin_width - span) <= 1e-9 * span:
-            raise ValidationError(
-                f"bin_width {self.bin_width!r} does not tile [{self.bin_min!r}, "
-                f"{self.bin_max!r}]: the span is {span / self.bin_width:.6g} widths"
-            )
+        self.to_config()  # the grid and stopping-rule checks of the reconstruction itself
         if self.bootstrap_resamples < 0:
             raise ValidationError("bootstrap_resamples must be >= 0")
-        self.to_config()  # checks nmax, max_iters and loglik_tol as the reconstruction will
-
-    def _bin_count(self) -> int:
-        return round((self.bin_max - self.bin_min) / self.bin_width)
-
-    def bin_edges(self) -> np.ndarray:
-        return np.linspace(self.bin_min, self.bin_max, self._bin_count() + 1)
 
     def to_config(self, eta_correction: float = 1.0) -> ReconstructionConfig:
-        return ReconstructionConfig(
-            nmax=self.nmax,
-            bin_edges=self.bin_edges(),
-            eta_correction=eta_correction,
-            max_iters=self.max_iters,
-            loglik_tol=self.loglik_tol,
-        )
+        recon = asdict(self)
+        del recon["bootstrap_resamples"]
+        return ReconstructionConfig(**recon, eta_correction=eta_correction)
 
 
 @dataclass(frozen=True)
@@ -152,16 +130,12 @@ class ExperimentConfig:
     outputs: str = "run"
 
 
-_SECTION_TYPES = {
-    "state": StateSection,
-    "channel": ChannelSection,
-    "detection": DetectionSection,
-    "sampling": SamplingSection,
-    "reconstruction": ReconstructionSection,
+# the INI sections, in order: the dataclass fields of ExperimentConfig
+_SECTIONS = {
+    name: kind
+    for name, kind in typing.get_type_hints(ExperimentConfig).items()
+    if is_dataclass(kind)
 }
-
-_BOOL_KEYS = {"subtract", "correct_loss"}
-_INT_KEYS = {"nmax", "per_angle_count", "seed", "max_iters", "bootstrap_resamples"}
 
 
 def _parse_degrees(raw: str, tokens, distinct: bool = True) -> tuple[float, ...]:
@@ -193,21 +167,22 @@ def parse_angle_pairs(raw: str) -> dict[float, float]:
     return dict(zip(nominal, _parse_degrees(raw, [t for _, t in pairs], distinct=False)))
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _parse_value(section: str, key: str, raw: str, kind):
+    """One INI value as the section field's type `kind`."""
     raw = raw.strip()
-    if key == "angles_deg":
+    if typing.get_origin(kind) is tuple:
         try:
             return parse_angle_list(raw)
         except ValidationError as exc:
             raise ValidationError(f"[{section}] {key}: {exc}") from exc
-    if key in _BOOL_KEYS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ValidationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError as exc:
@@ -234,15 +209,15 @@ def load_config(path) -> ExperimentConfig:
             if "directory" in keys:
                 kwargs["outputs"] = keys["directory"]
             continue
-        cls = _SECTION_TYPES.get(section)
+        cls = _SECTIONS.get(section)
         if cls is None:
             raise ValidationError(f"unknown config section [{section}]")
-        allowed = set(cls.__dataclass_fields__)
+        kinds = typing.get_type_hints(cls)
         values = {}
         for key, raw in parser.items(section):
-            if key not in allowed:
+            if key not in kinds:
                 raise ValidationError(f"[{section}] unknown key {key!r}")
-            values[key] = _parse_value(section, key, raw)
+            values[key] = _parse_value(section, key, raw, kinds[key])
         kwargs[section] = cls(**values)
     if "state" not in kwargs:
         raise ValidationError("config must contain a [state] section")
@@ -261,11 +236,10 @@ def _format_value(value) -> str:
 
 def save_config(config: ExperimentConfig, path) -> None:
     lines = []
-    for section in ("state", "channel", "detection", "sampling", "reconstruction"):
-        obj = getattr(config, section)
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for key in obj.__dataclass_fields__:
-            lines.append(f"{key} = {_format_value(getattr(obj, key))}")
+        for key, value in asdict(getattr(config, section)).items():
+            lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     lines.append("[outputs]")
     lines.append(f"directory = {config.outputs}")
@@ -273,9 +247,8 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def config_as_dict(config: ExperimentConfig) -> dict:
-    out = {s: asdict(getattr(config, s)) for s in _SECTION_TYPES}
+    out = asdict(config)
     out["sampling"]["angles_deg"] = list(out["sampling"]["angles_deg"])
-    out["outputs"] = config.outputs
     return out
 
 
@@ -318,24 +291,12 @@ def detect_and_sample(
     """The homodyne dataset of `rho` through the detector (hd_eta = 1 samples `rho` itself)."""
     detected = loss_channel(rho, detection.hd_eta) if detection.hd_eta < 1.0 else rho
     angles = [math.radians(a) for a in sampling.angles_deg]
-    return sample_homodyne_dataset(detected, angles, sampling.per_angle_count, sampling.seed)
-
-
-def sample_homodyne_dataset(
-    rho: FockDensityMatrix,
-    angles: list[float],
-    count: int,
-    seed: int,
-) -> QuadratureDataset:
-    """Sample `count` quadratures at each angle (radians), deterministically.
-
-    Per-angle streams derive from SeedSequence([seed, index]) in list order, so
-    any caller with the same (angles, count, seed) reproduces the same dataset.
-    """
+    # angle i draws from SeedSequence([seed, i]): the same section gives the same dataset
     seeds = [
-        int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(len(angles))
+        int(np.random.SeedSequence([sampling.seed, i]).generate_state(1)[0])
+        for i in range(len(angles))
     ]
-    return sample_homodyne(rho, angles, count, seeds)
+    return sample_homodyne(detected, angles, sampling.per_angle_count, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +359,14 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
     timings["sample"] = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    recon_uncorr = mle_reconstruct(dataset, config.reconstruction.to_config(1.0))
+    primary_cfg = config.reconstruction.to_config(1.0)
+    recon_uncorr = mle_reconstruct(dataset, primary_cfg)
     corrected = None
     if config.detection.correct_loss and config.detection.hd_eta < 1.0:
-        corrected = mle_reconstruct(
-            dataset, config.reconstruction.to_config(config.detection.hd_eta)
-        )
+        primary_cfg = config.reconstruction.to_config(config.detection.hd_eta)
+        corrected = mle_reconstruct(dataset, primary_cfg)
     timings["reconstruct"] = time.perf_counter() - tic
-
     primary = corrected if corrected is not None else recon_uncorr
-    primary_cfg = config.reconstruction.to_config(
-        config.detection.hd_eta if corrected is not None else 1.0
-    )
 
     boot = None
     if config.reconstruction.bootstrap_resamples > 0:

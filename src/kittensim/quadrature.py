@@ -158,21 +158,15 @@ def draw_homodyne(cdfs: np.ndarray, count, seeds, tags) -> QuadratureDataset:
     return QuadratureDataset(angles=np.repeat(tags, counts), values=np.concatenate(blocks))
 
 
-def sample_homodyne(
-    rho: FockDensityMatrix,
-    angles,
-    count,
-    seeds,
-    tags=None,
-) -> QuadratureDataset:
+def sample_homodyne(rho: FockDensityMatrix, angles, count, seeds) -> QuadratureDataset:
     """Draw homodyne samples at each angle (radians): `homodyne_cdfs`, then `draw_homodyne`.
 
-    Angle a gets `count` samples (or count[a]) from default_rng(seeds[a]) and
-    the tag tags[a], by default the angle itself; data measured at true angles
-    carry their nominal ones as tags.
+    Angle a gets `count` samples (or count[a]) from default_rng(seeds[a]),
+    tagged with the angle itself; data measured at true angles and tagged with
+    their nominal ones are `draw_homodyne` on the true angles' CDFs.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    return draw_homodyne(homodyne_cdfs(rho, angles), count, seeds, angles if tags is None else tags)
+    return draw_homodyne(homodyne_cdfs(rho, angles), count, seeds, angles)
 
 
 def sample_quadratures(

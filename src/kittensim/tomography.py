@@ -26,26 +26,42 @@ from .quadrature import (
 from .util import match_angle
 
 PROB_FLOOR = 1e-12
-
-
-def default_bin_edges() -> np.ndarray:
-    """0.1-wide bins spanning [-6, 6] (the two open-ended edge bins are implicit)."""
-    return np.linspace(-6.0, 6.0, 121)
+MAX_BIN_COUNT = 10_000  # the shipped grid has 120; 10^7 would take the POVM block ~16 GB
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
+    """One reconstruction: Fock cutoff, bin grid, loss correction and stopping rule.
+
+    The grid is bins of bin_width tiling [bin_min, bin_max], plus two implicit
+    open-ended edge bins; `bin_edges` is built from it once, on construction.
+    """
+
     nmax: int = 12
-    bin_edges: np.ndarray = field(default_factory=default_bin_edges)
+    bin_width: float = 0.1
+    bin_min: float = -6.0
+    bin_max: float = 6.0
     eta_correction: float = 1.0
     max_iters: int = 2000
     loglik_tol: float = 1e-9
     angle_overrides: dict[float, float] | None = None
+    bin_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-            raise ValidationError("bin_edges must be strictly increasing with >= 2 entries")
+        finite = all(map(math.isfinite, (self.bin_width, self.bin_min, self.bin_max)))
+        if not finite or self.bin_width <= 0.0 or self.bin_max <= self.bin_min:
+            raise ValidationError("reconstruction bin grid is degenerate")
+        span = self.bin_max - self.bin_min
+        widths = span / self.bin_width
+        if widths > MAX_BIN_COUNT + 0.5:  # more than MAX_BIN_COUNT bins once rounded
+            raise ValidationError(
+                f"{widths:.6g} bins of width {self.bin_width!r}; at most {MAX_BIN_COUNT} allowed"
+            )
+        if not abs(round(widths) * self.bin_width - span) <= 1e-9 * span:
+            raise ValidationError(
+                f"bin_width {self.bin_width!r} does not tile [{self.bin_min!r}, "
+                f"{self.bin_max!r}]: the span is {widths:.6g} widths"
+            )
         if self.nmax < 1:
             raise ValidationError("nmax must be >= 1")
         if not 0.0 < self.eta_correction <= 1.0:
@@ -55,6 +71,7 @@ class ReconstructionConfig:
         overrides = self.angle_overrides or {}
         if not all(map(math.isfinite, [*overrides, *overrides.values()])):
             raise ValidationError("angle_overrides must map finite angles to finite angles")
+        edges = np.linspace(self.bin_min, self.bin_max, round(widths) + 1)
         object.__setattr__(self, "bin_edges", edges)
 
 

@@ -5,6 +5,7 @@ success, prints a one-line summary through the captured-output escape hatch so
 the gate results stay visible in a plain pytest run.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -36,7 +37,7 @@ from kittensim import (
     photon_subtract,
     principal_mode,
     run_pipeline,
-    sample_homodyne_dataset,
+    sample_homodyne,
     simulate_source_state,
     spectral_variances,
     state_fidelity,
@@ -75,7 +76,12 @@ def test_criterion_1_round_trip(capsys):
     )
     kitten, _ = photon_subtract(sqz)
     detected = loss_channel(kitten, HD_ETA)
-    dataset = sample_homodyne_dataset(detected, list(ANGLES), 5000, seed=100)
+    seeds = [int(np.random.SeedSequence([100, i]).generate_state(1)[0]) for i in range(6)]
+    dataset = sample_homodyne(detected, ANGLES, 5000, seeds)
+    # pins the draw: the pipeline's per-angle SeedSequence([seed, i]) streams
+    assert hashlib.sha256(dataset.values.tobytes()).hexdigest() == (
+        "56fc7dbfb9824fc350a07bc0b060259a2134b8ffaae7cbacb2a132fdd9ef0d67"
+    )
     recon = mle_reconstruct(dataset, ReconstructionConfig(nmax=12))
     elapsed = time.perf_counter() - t0
 
@@ -289,7 +295,7 @@ def test_criterion_6_bootstrap_uncertainty(capsys):
     local_cfg = load_config(CONFIGS / "local.ini")
     source, _ = simulate_source_state(local_cfg.state)
     config = ReconstructionConfig(
-        nmax=12, bin_edges=np.linspace(-6.0, 6.0, 121), eta_correction=HD_ETA
+        nmax=12, bin_width=0.1, bin_min=-6.0, bin_max=6.0, eta_correction=HD_ETA
     )
     boot5k = bootstrap_metric(
         source, config, {th: 5000 for th in ANGLES}, n_resamples=50, seed=900

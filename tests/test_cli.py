@@ -355,6 +355,27 @@ def test_fit_spectrum_cli(capsys, tmp_path):
     assert json.loads(report_path.read_text()) == report
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["wigner-grid", "bootstrap"])
+def test_non_finite_state_exits_1(capsys, tmp_path, command, bad):
+    # wigner-grid used to exit 0, print "w_origin": NaN and write a CSV of nan
+    rho = tmp_path / "rho.json"
+    rho.write_text(f'{{"nmax": 1, "re": [[{bad}, 0.0], [0.0, 0.5]], "im": [[0, 0], [0, 0]]}}')
+    out = tmp_path / "out.csv"
+    argv = {
+        "wigner-grid": ["--in", str(rho), "--out", str(out)],
+        "bootstrap": ["--rho", str(rho), "--angles-deg", "0,90", "--count", "100",
+                      "--nmax", "4", "--resamples", "2", "--out", str(out)],
+    }[command]
+    rc, stdout, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert "non-finite" in error["message"]
+    assert not out.exists()
+
+
 def test_bootstrap_cli(capsys, tmp_path):
     rho, _ = make_state(capsys, tmp_path)
     rc, out, _ = run_cli(

@@ -369,3 +369,15 @@ def test_density_matrix_json_rejects_non_hermitian(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_density_matrix(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN passes every `x > tol` check of validate(); construction rejects it
+    entries = np.diag([0.5, 0.5]).astype(complex)
+    entries[0, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        FockDensityMatrix(nmax=1, entries=entries)
+    text = '{"nmax": 1, "re": [[NaN, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
+    with pytest.raises(ValidationError, match="non-finite"):
+        density_matrix_from_json(text)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,15 @@ from kittensim import (
     load_samples_csv,
     loss_channel,
     run_pipeline,
-    sample_homodyne_dataset,
+    sample_homodyne,
     sample_quadratures,
     save_config,
     simulate_source_state,
     verify_run_dir,
     wigner_origin,
 )
-from kittensim.pipeline import MAX_BIN_COUNT, parse_angle_list, parse_angle_pairs
+from kittensim.pipeline import detect_and_sample, parse_angle_list, parse_angle_pairs
+from kittensim.tomography import MAX_BIN_COUNT
 
 
 def small_config(outputs, **overrides):
@@ -45,6 +47,29 @@ def small_config(outputs, **overrides):
 
 def test_config_ini_round_trip(tmp_path):
     config = small_config(tmp_path / "run")
+    path = tmp_path / "exp.ini"
+    save_config(config, path)
+    assert load_config(path) == config
+
+
+def test_config_ini_round_trip_of_every_key(tmp_path):
+    # each key's INI type comes from its field's type: a key parsed as the
+    # wrong type would not come back equal
+    config = ExperimentConfig(
+        state=StateSection(v_x_db=-1.5, v_p_db=2.0, subtract=False, purity_mix=0.75, nmax=17),
+        channel=ChannelSection(link_eta=0.7, phase_sigma_deg=12.5),
+        detection=DetectionSection(hd_eta=0.9, correct_loss=True),
+        sampling=SamplingSection(angles_deg=(10.0, -55.5), per_angle_count=123, seed=77),
+        reconstruction=ReconstructionSection(
+            nmax=9, bin_width=0.25, bin_min=-5.0, bin_max=7.0, max_iters=321,
+            loglik_tol=3e-8, bootstrap_resamples=7,
+        ),
+        outputs=str(tmp_path / "elsewhere"),
+    )
+    sections = [getattr(config, f.name) for f in fields(config) if f.name != "outputs"]
+    for owner in (config, *sections):
+        for f in fields(owner):
+            assert f.default is MISSING or getattr(owner, f.name) != f.default, f.name
     path = tmp_path / "exp.ini"
     save_config(config, path)
     assert load_config(path) == config
@@ -125,17 +150,22 @@ def test_config_rejects_non_finite_numbers(tmp_path, section, key, value):
         load_config(path)
 
 
-def test_bin_grid_at_the_cap_loads():
-    edges = ReconstructionSection(bin_width=12.0 / MAX_BIN_COUNT).bin_edges()
+def test_bin_grid_at_the_cap_loads(tmp_path):
+    path = tmp_path / "exp.ini"
+    width = 12.0 / MAX_BIN_COUNT
+    path.write_text(
+        f"[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[reconstruction]\nbin_width = {width!r}\n"
+    )
+    edges = load_config(path).reconstruction.to_config().bin_edges
     assert edges.size == MAX_BIN_COUNT + 1
 
 
 @pytest.mark.parametrize("name", ["local", "transmitted"])
 def test_shipped_bin_grid_loads(name):
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
-    edges = config.reconstruction.bin_edges()
-    assert edges.size == 121
-    np.testing.assert_allclose(np.diff(edges), 0.1, rtol=1e-9)
+    for eta in (1.0, config.detection.hd_eta):
+        edges = config.reconstruction.to_config(eta).bin_edges
+        assert edges.tobytes() == np.linspace(-6.0, 6.0, 121).tobytes()
 
 
 def test_config_missing_file(tmp_path):
@@ -171,9 +201,10 @@ def test_angle_pairs_keep_the_degrees_as_written():
     assert parse_angle_pairs(" 0:0, 30 :33.5,90: 90") == {0.0: 0.0, 30.0: 33.5, 90.0: 90.0}
 
 
-def test_sample_homodyne_dataset_is_seeded_per_angle_index(kitten):
-    angles = [math.radians(d) for d in (90.0, 0.0, 30.0)]
-    dataset = sample_homodyne_dataset(kitten, angles, 40, seed=9)
+def test_detect_and_sample_is_seeded_per_angle_index(kitten):
+    sampling = SamplingSection(angles_deg=(90.0, 0.0, 30.0), per_angle_count=40, seed=9)
+    dataset = detect_and_sample(kitten, DetectionSection(), sampling)
+    angles = [math.radians(d) for d in sampling.angles_deg]
     seeds = [int(np.random.SeedSequence([9, i]).generate_state(1)[0]) for i in range(3)]
     expected = [sample_quadratures(kitten, th, 40, s) for th, s in zip(angles, seeds)]
     np.testing.assert_array_equal(dataset.values, np.concatenate(expected))
@@ -242,9 +273,11 @@ def test_stagewise_run_matches_pipeline(tmp_path):
     transmitted = apply_link(source, config.channel)
     detected = loss_channel(transmitted, config.detection.hd_eta)
     angles = [math.radians(a) for a in config.sampling.angles_deg]
-    dataset = sample_homodyne_dataset(
-        detected, angles, config.sampling.per_angle_count, config.sampling.seed
-    )
+    seeds = [
+        int(np.random.SeedSequence([config.sampling.seed, i]).generate_state(1)[0])
+        for i in range(len(angles))
+    ]
+    dataset = sample_homodyne(detected, angles, config.sampling.per_angle_count, seeds)
     assert np.array_equal(dataset.values, run.dataset.values)
     assert np.array_equal(dataset.angles, run.dataset.angles)
 

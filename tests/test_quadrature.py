@@ -12,8 +12,10 @@ from kittensim import (
     bootstrap_metric,
     build_povm_stack,
     dataset_from_angle_blocks,
+    draw_homodyne,
     fock_wavefunctions,
     gaussian_state,
+    homodyne_cdfs,
     load_samples_csv,
     marginal_pdf,
     marginal_variance,
@@ -115,19 +117,24 @@ def test_sample_homodyne_is_the_per_angle_draws(kitten):
     # one call draws each angle from its own seed and tags it, exactly as the
     # one-angle calls do
     angles = [0.0, 0.4, math.pi / 2]
-    ds = sample_homodyne(kitten, angles, [30, 0, 20], [11, 12, 13], tags=[1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(ds.angles, np.repeat([1.0, 2.0, 3.0], [30, 0, 20]))
+    ds = sample_homodyne(kitten, angles, [30, 0, 20], [11, 12, 13])
+    np.testing.assert_array_equal(ds.angles, np.repeat(angles, [30, 0, 20]))
     expected = [
         sample_quadratures(kitten, th, n, s)
         for th, n, s in zip(angles, [30, 0, 20], [11, 12, 13])
     ]
     np.testing.assert_array_equal(ds.values, np.concatenate(expected))
+    # other tags: the same draws from the same CDFs
+    cdfs = homodyne_cdfs(kitten, angles)
+    tagged = draw_homodyne(cdfs, [30, 0, 20], [11, 12, 13], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(tagged.angles, np.repeat([1.0, 2.0, 3.0], [30, 0, 20]))
+    np.testing.assert_array_equal(tagged.values, ds.values)
 
 
 @pytest.mark.parametrize("tags", [[0.0, 0.0, 0.5], [0.5, -0.0, 0.0]])
 def test_sample_homodyne_rejects_repeated_tags(kitten, tags):
     with pytest.raises(ValidationError):
-        sample_homodyne(kitten, [0.0, 0.3, 0.5], 10, [1, 2, 3], tags=tags)
+        draw_homodyne(homodyne_cdfs(kitten, [0.0, 0.3, 0.5]), 10, [1, 2, 3], tags)
     with pytest.raises(ValidationError):
         sample_homodyne(kitten, tags, 10, [1, 2, 3])
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kittensim import tomography
-from kittensim.quadrature import draw_homodyne, sample_homodyne
+from kittensim.quadrature import draw_homodyne, homodyne_cdfs
+from kittensim.tomography import MAX_BIN_COUNT
 from kittensim import (
     NumericsError,
     QuadratureDataset,
@@ -16,7 +17,6 @@ from kittensim import (
     bootstrap_metric,
     build_povm_stack,
     dataset_from_angle_blocks,
-    default_bin_edges,
     loss_channel,
     mle_reconstruct,
     reconstruct_with_angles,
@@ -37,7 +37,7 @@ def small_dataset(rho, angles_deg, count, seed):
 
 
 def test_bin_dataset_conserves_counts():
-    config = ReconstructionConfig(nmax=4, bin_edges=np.linspace(-1.0, 1.0, 5))
+    config = ReconstructionConfig(nmax=4, bin_width=0.5, bin_min=-1.0, bin_max=1.0)
     values = np.array([-5.0, -1.0, -0.3, 0.0, 0.49, 0.5, 1.0, 7.0])
     binned = bin_dataset(
         dataset_from_angle_blocks({0.0: values, math.pi / 2: values[:4]}), config
@@ -54,7 +54,7 @@ def test_bin_dataset_conserves_counts():
 
 def test_bin_dataset_counts_each_sample_once():
     # tags 1e-12 apart are two angles; neither takes the other's samples
-    config = ReconstructionConfig(nmax=4, bin_edges=np.linspace(-1.0, 1.0, 5))
+    config = ReconstructionConfig(nmax=4, bin_width=0.5, bin_min=-1.0, bin_max=1.0)
     dataset = QuadratureDataset(
         angles=np.array([0.5, 0.5, 0.5 + 1e-12, 1.0]), values=np.array([0.1, -0.2, 0.3, 0.4])
     )
@@ -95,30 +95,32 @@ def reference_bin_dataset(dataset, edges):
     return angles, counts, float((counts[:, 0].sum() + counts[:, -1].sum()) / counts.sum())
 
 
-def random_grids(kind, rng):
+def random_configs(kind, rng):
     if kind == "shipped":
-        return [default_bin_edges()]
-    if kind == "linspace":
-        return [
-            np.linspace(lo, lo + rng.uniform(1e-3, 20.0), rng.integers(2, 300))
-            for lo in rng.uniform(-12.0, 6.0, 150)
-        ]
-    if kind == "nonuniform":
-        return [
-            np.cumsum(rng.exponential(rng.uniform(0.01, 1.0), rng.integers(2, 200)))
-            - rng.uniform(0.0, 20.0)
-            for _ in range(150)
-        ] + [np.geomspace(1e-6, 10.0, 80), np.array([-1e308, -1.0, 0.0, 1e308])]
-    raise AssertionError(kind)
+        return [ReconstructionConfig(nmax=2)]
+    grids = [
+        np.linspace(lo, lo + rng.uniform(1e-3, 20.0), rng.integers(2, 300))
+        for lo in rng.uniform(-12.0, 6.0, 150)
+    ]
+    configs = [
+        ReconstructionConfig(
+            nmax=2, bin_width=(e[-1] - e[0]) / (e.size - 1), bin_min=e[0], bin_max=e[-1]
+        )
+        for e in grids
+    ]
+    # each config rebuilds its grid bit for bit from the three grid fields
+    assert [c.bin_edges.tobytes() for c in configs] == [e.tobytes() for e in grids]
+    return configs
 
 
-@pytest.mark.parametrize("kind", ["shipped", "linspace", "nonuniform"])
+@pytest.mark.parametrize("kind", ["shipped", "linspace"])
 def test_bin_dataset_matches_binary_search_reference(kind):
     # bit for bit on counts, angles and the out-of-range fraction, with values
     # on every edge, one ulp either side of it and far outside, and with the
     # angle tags interleaved rather than in one run per angle
-    rng = np.random.default_rng(["shipped", "linspace", "nonuniform"].index(kind))
-    for edges in random_grids(kind, rng):
+    rng = np.random.default_rng(["shipped", "linspace"].index(kind))
+    for config in random_configs(kind, rng):
+        edges = config.bin_edges
         spread = max(1.0, float(np.abs(edges[[0, -1]]).max()))
         values = np.concatenate([
             np.clip(rng.normal(0.0, spread, 3000), -1e307, 1e307),
@@ -127,7 +129,7 @@ def test_bin_dataset_matches_binary_search_reference(kind):
         ])
         tags = rng.choice([0.0, 0.4, 1.3, 2.5], values.size)
         dataset = QuadratureDataset(angles=tags, values=values)
-        binned = bin_dataset(dataset, ReconstructionConfig(nmax=2, bin_edges=edges))
+        binned = bin_dataset(dataset, config)
         angles, counts, out_frac = reference_bin_dataset(dataset, edges)
         assert binned.angles.tobytes() == angles.tobytes()
         assert binned.counts.tobytes() == counts.tobytes()
@@ -183,7 +185,7 @@ PIPELINE_POVM_PINS = {
 @pytest.mark.parametrize("eta", sorted(PIPELINE_POVM_PINS))
 def test_povm_stack_pinned_on_pipeline_grid(eta):
     angles = np.radians([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
-    stack = build_povm_stack(angles, default_bin_edges(), eta, 12)
+    stack = build_povm_stack(angles, ReconstructionConfig().bin_edges, eta, 12)
     assert stack.shape == (6 * 122, 13, 13)
     for (k, m, n), value in PIPELINE_POVM_PINS[eta].items():
         assert abs(stack[k, m, n] - value) <= 1e-12, (k, m, n)
@@ -322,7 +324,7 @@ def reference_rrr(stack, counts, config):
 def reference_case(rho, case):
     """Dataset, config and POVM angles of one full-stack comparison case."""
     nominal = np.radians([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
-    drawn, count, edges = nominal, 5000, default_bin_edges()
+    drawn, count, grid = nominal, 5000, {}
     if case == "overrides":
         drawn = np.radians([0.0, 33.5, 65.6, 90.0, 133.1, 163.3])
     elif case == "scan":
@@ -336,14 +338,12 @@ def reference_case(rho, case):
     }
     dataset = dataset_from_angle_blocks(blocks)
     if case == "empty-bin":
-        # two extra edges inside the widest gap between samples near the origin
-        values = np.sort(dataset.values)
-        gaps = np.where(np.abs(values[:-1]) < 1.0, np.diff(values), 0.0)
-        lo, hi = values[np.argmax(gaps)], values[np.argmax(gaps) + 1]
-        edges = np.sort(np.append(edges, [lo + (hi - lo) / 3.0, lo + 2.0 * (hi - lo) / 3.0]))
+        # a grid wider than the data: the open edge bins, and bins in both
+        # tails between occupied ones, are empty at every angle
+        grid = {"bin_min": -8.0, "bin_max": 8.0}
     config = ReconstructionConfig(
         nmax=12,
-        bin_edges=edges,
+        **grid,
         eta_correction=HD_ETA,
         angle_overrides=None if case == "nominal" else dict(zip(nominal, drawn)),
     )
@@ -415,7 +415,8 @@ def test_bootstrap_stream_is_pinned(lossy_kitten, monkeypatch):
 
 def test_bootstrap_resamples_are_sample_homodyne_draws(lossy_kitten):
     # the bootstrap builds the marginal CDFs once; each resample's W(0,0) must
-    # equal that of a fresh sample_homodyne draw on the same seeds
+    # equal that of a fresh draw at the true angles, tagged with the nominal
+    # ones, on the same seeds
     nominal = np.radians([0.0, 60.0, 120.0])
     true = np.radians([0.0, 63.0, 118.0])
     counts = [400, 500, 300]
@@ -429,7 +430,7 @@ def test_bootstrap_resamples_are_sample_homodyne_draws(lossy_kitten):
     expected = []
     for resample in np.random.SeedSequence(6).spawn(3):
         seeds = [int(s.generate_state(1)[0]) for s in resample.spawn(nominal.size)]
-        dataset = sample_homodyne(detected, true, counts, seeds, tags=nominal)
+        dataset = draw_homodyne(homodyne_cdfs(detected, true), counts, seeds, nominal)
         expected.append(mle_reconstruct(dataset, config).metrics["w00"])
     assert boot.failures == 0
     np.testing.assert_array_equal(boot.values, expected)
@@ -486,10 +487,38 @@ def test_config_rejects_bad_loglik_tol(tol):
 
 
 def test_bin_edges_must_increase():
-    with pytest.raises(ValidationError):
-        ReconstructionConfig(nmax=4, bin_edges=np.array([0.0, -1.0, 1.0]))
+    with pytest.raises(ValidationError, match="degenerate"):
+        ReconstructionConfig(nmax=4, bin_min=1.0, bin_max=-1.0)
+    with pytest.raises(ValidationError, match="degenerate"):
+        ReconstructionConfig(nmax=4, bin_width=-0.1)
     with pytest.raises(ValidationError):
         ReconstructionConfig(nmax=4, eta_correction=0.0)
+
+
+@pytest.mark.parametrize("key", ["bin_min", "bin_max", "bin_width"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_grid(key, value):
+    # edges [-6, nan, 6] used to reach np.repeat and die with a bare ValueError,
+    # which the bootstrap could not count as a failed resample
+    with pytest.raises(ValidationError, match="degenerate"):
+        ReconstructionConfig(**{key: value})
+
+
+def test_config_caps_the_bin_count():
+    # a 20 000-bin edges array used to get past MAX_BIN_COUNT
+    with pytest.raises(ValidationError, match="allowed"):
+        ReconstructionConfig(bin_width=12.0 / (2 * MAX_BIN_COUNT))
+    at_cap = ReconstructionConfig(bin_width=12.0 / MAX_BIN_COUNT)
+    assert at_cap.bin_edges.size == MAX_BIN_COUNT + 1
+    assert at_cap.bin_edges[0] == -6.0 and at_cap.bin_edges[-1] == 6.0
+
+
+def test_replace_rebuilds_the_grid():
+    config = replace(ReconstructionConfig(), bin_width=0.5, bin_max=4.0)
+    assert config.bin_edges.tobytes() == np.linspace(-6.0, 4.0, 21).tobytes()
+    assert config == ReconstructionConfig(bin_width=0.5, bin_max=4.0)
+    with pytest.raises(ValidationError, match="does not tile"):
+        replace(config, bin_width=0.3)
 
 
 def test_empty_dataset_rejected():
