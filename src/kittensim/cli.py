@@ -63,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-_RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "loglik_tol")
+_RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "gap_tol")
 
 
 def _add_section_flags(parser: argparse.ArgumentParser, section, names) -> None:

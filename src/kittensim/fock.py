@@ -451,6 +451,7 @@ def density_matrix_to_json(rho: FockDensityMatrix) -> str:
         "nmax": rho.nmax,
         "re": rho.entries.real.tolist(),
         "im": rho.entries.imag.tolist(),
+        "trace_deficit": rho.trace_deficit,
     }
     return json.dumps(payload)
 
@@ -461,6 +462,7 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
         nmax = int(payload["nmax"])
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
+        deficit = float(payload.get("trace_deficit", 0.0))  # absent from older files
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
     mat = re + 1j * im
@@ -468,7 +470,9 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
         raise ValidationError(
             f"density-matrix JSON shape {mat.shape} does not match nmax={nmax}"
         )
-    rho = FockDensityMatrix(nmax=nmax, entries=mat)
+    if not math.isfinite(deficit):
+        raise ValidationError("density-matrix JSON has a non-finite trace_deficit")
+    rho = FockDensityMatrix(nmax=nmax, entries=mat, trace_deficit=deficit)
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("density-matrix JSON is not Hermitian within 1e-12")
     return rho

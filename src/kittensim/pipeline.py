@@ -106,7 +106,7 @@ class ReconstructionSection:
     bin_min: float = ReconstructionConfig.bin_min
     bin_max: float = ReconstructionConfig.bin_max
     max_iters: int = ReconstructionConfig.max_iters
-    loglik_tol: float = ReconstructionConfig.loglik_tol
+    gap_tol: float = ReconstructionConfig.gap_tol
     bootstrap_resamples: int = 50
 
     def __post_init__(self) -> None:
@@ -402,6 +402,8 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
         "iterations": primary.metrics["iterations"],
         "converged": primary.metrics["converged"],
         "loglik": primary.metrics["loglik"],
+        "gap": primary.metrics["gap"],
+        "gap_uncorrected": recon_uncorr.metrics["gap"],
     }
 
     tic = time.perf_counter()

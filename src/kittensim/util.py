@@ -73,7 +73,7 @@ def read_csv(path, header) -> tuple[dict[str, float], np.ndarray]:
 
     Empty lines are skipped. A missing header, a row with the wrong number of
     fields, or a value or metadata value that is not a finite number raises
-    ValidationError. The rows are parsed in one numpy call.
+    ValidationError. The rows are streamed through one numpy call.
     """
     metadata = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -92,17 +92,10 @@ def read_csv(path, header) -> tuple[dict[str, float], np.ndarray]:
         if [h.strip() for h in line.split(",")] != list(header):
             raise ValidationError(f"{path}: expected header {','.join(header)!r}")
         try:
-            if len(header) == 1:
-                # one conversion of the lines: loadtxt's set-up costs more
-                # than parsing a single-column trace file
-                rows = [row for row in fh.read().splitlines() if row]
-                table = np.array(rows, dtype=float).reshape(-1, 1)
-            else:
-                # streams the rows, keeping no Python object per line
-                with warnings.catch_warnings():
-                    # a file without rows is an empty table, not a warning
-                    warnings.simplefilter("ignore", UserWarning)
-                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            with warnings.catch_warnings():
+                # a file without rows is an empty table, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed row ({exc})") from exc
     if table.size and table.shape[1] != len(header):

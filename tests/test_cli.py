@@ -149,6 +149,7 @@ def test_reconstruct_matches_library(capsys, tmp_path):
 
     lib = mle_reconstruct(load_samples_csv(samples), ReconstructionConfig(nmax=8))
     assert cli_metrics["w00"] == lib.metrics["w00"]
+    assert cli_metrics["gap"] == lib.metrics["gap"] <= ReconstructionConfig.gap_tol
     assert np.array_equal(load_density_matrix(out_rho).entries, lib.rho.entries)
 
 
@@ -234,6 +235,7 @@ def test_reconstruct_nonconvergence_exits_2(capsys, tmp_path):
     assert rc == 2
     assert json.loads(err)["error"] == "numerics"
     assert json.loads(out)["converged"] is False
+    assert json.loads(out)["gap"] > ReconstructionConfig.gap_tol
     assert out_rho.exists()  # best-so-far state is still written
 
 
@@ -404,6 +406,10 @@ def test_pipeline_and_report_cli(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "report", "--run", str(tmp_path / "run"))
     assert rc == 0
     assert json.loads(out)["hashes_ok"] is True
+    # the certified gaps of the corrected and the uncorrected reconstruction
+    metrics = json.loads(out)["metrics"]
+    assert metrics["gap"] <= config.reconstruction.gap_tol
+    assert metrics["gap_uncorrected"] <= config.reconstruction.gap_tol
 
     target = tmp_path / "run" / "metrics.json"
     target.write_text(target.read_text().replace("{", "{ ", 1))
@@ -474,7 +480,7 @@ def test_cli_stages_reproduce_the_pipeline(capsys, tmp_path, hd_eta):
         ("reconstruct", "--samples", tmp_path / "samples.csv", "--nmax", recon.nmax,
          "--bin-width", recon.bin_width, "--bin-min", recon.bin_min,
          "--bin-max", recon.bin_max, "--max-iters", recon.max_iters,
-         "--loglik-tol", recon.loglik_tol, "--out-rho", tmp_path / "rho_uncorrected.json"),
+         "--gap-tol", recon.gap_tol, "--out-rho", tmp_path / "rho_uncorrected.json"),
     ]
     for argv in stages:
         rc, _, _ = run_cli(capsys, *map(str, argv))

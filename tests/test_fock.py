@@ -362,6 +362,22 @@ def test_density_matrix_json_round_trip(kitten, tmp_path):
     np.testing.assert_array_equal(again.entries, kitten.entries)
 
 
+def test_density_matrix_json_keeps_the_trace_deficit(lossy_kitten, tmp_path):
+    # the deficit used to be dropped, so a stored state read back by `sample`
+    # or `bootstrap` lost its truncation record
+    assert lossy_kitten.trace_deficit > 0.0
+    path = tmp_path / "rho.json"
+    save_density_matrix(lossy_kitten, path)
+    assert load_density_matrix(path).trace_deficit == lossy_kitten.trace_deficit
+    # a file written before the key existed still loads, with no deficit
+    doc = json.loads(path.read_text())
+    del doc["trace_deficit"]
+    assert density_matrix_from_json(json.dumps(doc)).trace_deficit == 0.0
+    doc["trace_deficit"] = math.nan
+    with pytest.raises(ValidationError, match="trace_deficit"):
+        density_matrix_from_json(json.dumps(doc))
+
+
 def test_density_matrix_json_rejects_non_hermitian(tmp_path):
     doc = json.loads(density_matrix_to_json(gaussian_state(GaussianStateSpec(0.5, 0.5), nmax=3)))
     doc["re"][0][1] = 0.7  # break hermiticity

@@ -62,7 +62,7 @@ def test_config_ini_round_trip_of_every_key(tmp_path):
         sampling=SamplingSection(angles_deg=(10.0, -55.5), per_angle_count=123, seed=77),
         reconstruction=ReconstructionSection(
             nmax=9, bin_width=0.25, bin_min=-5.0, bin_max=7.0, max_iters=321,
-            loglik_tol=3e-8, bootstrap_resamples=7,
+            gap_tol=0.003, bootstrap_resamples=7,
         ),
         outputs=str(tmp_path / "elsewhere"),
     )
@@ -132,12 +132,12 @@ def test_config_rejects_bin_width_that_does_not_tile(tmp_path, width, message):
 @pytest.mark.parametrize(
     "section, key",
     [("state", "v_x_db"), ("state", "v_p_db"), ("channel", "phase_sigma_deg"),
-     ("reconstruction", "loglik_tol")],
+     ("reconstruction", "gap_tol")],
 )
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_config_rejects_non_finite_numbers(tmp_path, section, key, value):
-    # these used to load: nan phase noise was then dropped, an infinite loglik_tol
-    # stopped the reconstruction after two iterations, a nan variance gave a NaN state.
+    # these used to load: nan phase noise was then dropped, an infinite stopping
+    # tolerance stopped the reconstruction after two iterations, a nan variance gave a NaN state.
     # The other number keys already refused nan and inf through their range checks.
     sections = {"state": {"v_x_db": "-2.0", "v_p_db": "2.4"}}
     sections.setdefault(section, {})[key] = value

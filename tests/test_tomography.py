@@ -1,6 +1,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,23 +10,30 @@ from kittensim import tomography
 from kittensim.quadrature import draw_homodyne, homodyne_cdfs
 from kittensim.tomography import MAX_BIN_COUNT
 from kittensim import (
+    FockDensityMatrix,
     NumericsError,
     QuadratureDataset,
     ReconstructionConfig,
     ValidationError,
+    apply_link,
     bin_dataset,
     bootstrap_metric,
     build_povm_stack,
     dataset_from_angle_blocks,
+    load_config,
     loss_channel,
     mle_reconstruct,
     reconstruct_with_angles,
     sample_quadratures,
+    simulate_source_state,
     state_fidelity,
     wigner_origin,
 )
 
+from kittensim.pipeline import detect_and_sample
 from conftest import HD_ETA
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_dataset(rho, angles_deg, count, seed):
@@ -197,7 +205,7 @@ def test_povm_stack_pinned_on_pipeline_grid(eta):
 
 def test_loglikelihood_is_monotone(lossy_kitten):
     dataset = small_dataset(lossy_kitten, (0.0, 45.0, 90.0, 135.0), 1500, seed=21)
-    config = ReconstructionConfig(nmax=8, max_iters=300, loglik_tol=1e-10)
+    config = ReconstructionConfig(nmax=8, max_iters=300, gap_tol=1e-4)
     result = mle_reconstruct(dataset, config)
     hist = result.loglik_history
     assert hist.size == result.iterations_used
@@ -219,7 +227,7 @@ def test_round_trip_recovers_detected_state(lossy_kitten):
     dataset = small_dataset(lossy_kitten, (0.0, 45.0, 90.0, 135.0), 3000, seed=11)
     config = ReconstructionConfig(nmax=10)
     result = mle_reconstruct(dataset, config)
-    assert result.converged
+    assert result.converged and result.metrics["gap"] <= config.gap_tol
     assert state_fidelity(result.rho, lossy_kitten) >= 0.97
     assert result.metrics["w00"] == pytest.approx(wigner_origin(lossy_kitten), abs=0.03)
     assert result.diagnostics["out_of_range_fraction"] < 1e-3
@@ -300,25 +308,44 @@ def test_true_angle_povm_deepens_negativity(lossy_kitten):
     assert abs(w_true) > abs(w_nominal) + 0.005
 
 
-def reference_rrr(stack, counts, config):
-    """The R rho R loop on the full complex POVM stack, one row per (angle, bin)."""
-    d = config.nmax + 1
-    flat = stack.reshape(stack.shape[0], d * d)
-    active = counts > 0
+def full_stack_r(stack, counts, rho):
+    """R = sum_k (n_k / (N p_k)) Pi_k on the full complex POVM stack, one row
+    per (angle, bin), and the certified gap N (lambda_max(R) - 1) that bounds
+    how far the log-likelihood of `rho` lies below the maximum (Glancy, Knill
+    & Girard, NJP 14, 095017, 2012)."""
+    d = rho.shape[0]
+    flat = stack.reshape(-1, d * d)
+    probs = np.maximum((flat @ rho.T.ravel()).real, 1e-12)
+    r_op = ((counts / (counts.sum() * probs)) @ flat).reshape(d, d)
+    return r_op, counts.sum() * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+
+def reference_rrr(stack, counts, gap_tol, max_iters=20_000):
+    """The plain R rho R loop on the full complex POVM stack, run from the
+    maximally mixed state until its own certified gap is at most gap_tol."""
+    d = stack.shape[1]
     rho = np.eye(d, dtype=complex) / d
-    history = []
-    for iters in range(1, config.max_iters + 1):
-        probs = np.maximum((flat @ rho.T.ravel()).real, 1e-12)
-        history.append(float(counts[active] @ np.log(probs[active])))
-        if len(history) > 1 and (
-            history[-1] - history[-2] < config.loglik_tol * abs(history[-2])
-        ):
-            break
-        r_op = ((counts / (counts.sum() * probs)) @ flat).reshape(d, d)
+    for _ in range(max_iters):
+        r_op, gap = full_stack_r(stack, counts, rho)
+        if gap <= gap_tol:
+            return FockDensityMatrix(nmax=d - 1, entries=rho)
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
-    return rho, iters
+    raise AssertionError(f"the reference did not reach a gap of {gap_tol} in {max_iters} steps")
+
+
+def assert_certified_optimum(result, stack, counts, reference_gap_tol):
+    """`result` ends within 0.01 nats of the optimum by the gap of its own R on
+    the full stack, is PSD, and has the W(0,0) of a full-stack reference."""
+    rho = result.rho.entries
+    _, gap = full_stack_r(stack, counts, rho)
+    assert result.converged
+    assert gap <= 0.01
+    assert gap == pytest.approx(result.metrics["gap"], abs=1e-6)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    reference = reference_rrr(stack, counts, reference_gap_tol)
+    assert abs(result.metrics["w00"] - wigner_origin(reference)) <= 1e-4
 
 
 def reference_case(rho, case):
@@ -353,7 +380,8 @@ def reference_case(rho, case):
 @pytest.mark.parametrize("case", ["nominal", "overrides", "scan", "empty-bin"])
 def test_mle_matches_full_stack_reference(lossy_kitten, case):
     # the reconstruction iterates on the packed real POVM block, the occupied
-    # bins and per-angle phases; it must follow the full-stack iteration step for step
+    # bins and per-angle phases; it must reach the optimum of the plain
+    # iteration on the full stack, run to the same certified gap
     dataset, config, drawn = reference_case(lossy_kitten, case)
     result = mle_reconstruct(dataset, config)
     binned = bin_dataset(dataset, config)
@@ -361,10 +389,40 @@ def test_mle_matches_full_stack_reference(lossy_kitten, case):
         occupied = np.flatnonzero(binned.counts.any(axis=0))
         assert np.any(np.diff(occupied) > 1) and occupied[0] > 0
     stack = build_povm_stack(drawn, binned.edges, HD_ETA, 12)
-    rho, iters = reference_rrr(stack, binned.counts.ravel(), config)
-    assert result.converged
-    assert result.iterations_used == iters
-    assert np.max(np.abs(result.rho.entries - rho)) <= 1e-12
+    counts = binned.counts.ravel()
+    assert_certified_optimum(result, stack, counts, config.gap_tol)
+    # two iterations take exactly one plain step, G(I / sqrt(d)), and mix
+    # nothing, so the packed products must match the full stack step for step
+    one_step = mle_reconstruct(dataset, replace(config, max_iters=2))
+    rho0 = np.eye(13, dtype=complex) / 13
+    r_op, _ = full_stack_r(stack, counts, rho0)
+    expected = r_op @ rho0 @ r_op
+    expected /= np.trace(expected).real
+    np.testing.assert_allclose(one_step.rho.entries, expected, rtol=0, atol=1e-12)
+    _, gap = full_stack_r(stack, counts, expected)
+    assert one_step.metrics["gap"] == pytest.approx(gap, rel=1e-9)
+    occupied = counts > 0
+    lls = [
+        counts[occupied] @ np.log((stack.reshape(-1, 169) @ rho.T.ravel()).real[occupied])
+        for rho in (rho0, expected)
+    ]
+    np.testing.assert_allclose(one_step.loglik_history, lls, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["local", "transmitted"])
+def test_shipped_reconstructions_reach_the_certified_optimum(name):
+    # the likelihood-step stop used to leave gaps of 0.069 (local) and 2.68
+    # (transmitted) nats and W(0,0) 3.9e-4 and 3.3e-4 from the optimum
+    cfg = load_config(CONFIGS / f"{name}.ini")
+    source, _ = simulate_source_state(cfg.state)
+    dataset = detect_and_sample(apply_link(source, cfg.channel), cfg.detection, cfg.sampling)
+    assert cfg.reconstruction.gap_tol == 0.01
+    for eta in (1.0, cfg.detection.hd_eta):
+        config = cfg.reconstruction.to_config(eta)
+        binned = bin_dataset(dataset, config)
+        stack = build_povm_stack(binned.angles, binned.edges, eta, config.nmax)
+        result = mle_reconstruct(dataset, config)
+        assert_certified_optimum(result, stack, binned.counts.ravel(), 1e-4)
 
 
 def test_bootstrap_statistics(lossy_kitten):
@@ -407,9 +465,10 @@ def test_bootstrap_stream_is_pinned(lossy_kitten, monkeypatch):
         "222d9a60c12ccf352b1ba813514d3d271092d089426c1d430eab9275bdb0e4d3",
         "4fe7dd68ff986b9d175578969c6008ed95c49203223161b5048842a07d74e746",
     ]
-    # W(0,0) of each resample, re-recorded when the R rho R step moved to the
-    # packed block and the occupied bins (each moved by <= 1.2e-16)
-    expected = [-0.024498677832018187, -0.01847426605797142, -0.05860277967540063]
+    # W(0,0) of each resample, re-recorded when the stop moved from a 1e-9
+    # relative likelihood step to a certified gap of 0.01 nats under Anderson
+    # acceleration (each moved by <= 6e-5)
+    expected = [-0.024477218016893662, -0.018415216611278533, -0.058562973375790923]
     np.testing.assert_array_equal(boot.values, expected)
 
 
@@ -480,10 +539,10 @@ def test_bootstrap_requires_positive_counts(lossy_kitten):
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
-def test_config_rejects_bad_loglik_tol(tol):
-    # inf used to stop after two iterations, nan to run all of them
+def test_config_rejects_bad_gap_tol(tol):
+    # inf would stop at the first small step, nan would never stop
     with pytest.raises(ValidationError):
-        ReconstructionConfig(loglik_tol=tol)
+        ReconstructionConfig(gap_tol=tol)
 
 
 def test_bin_edges_must_increase():
