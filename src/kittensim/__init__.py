@@ -93,7 +93,6 @@ from .pipeline import (
     SamplingSection,
     StateSection,
     apply_link,
-    config_as_dict,
     load_config,
     run_pipeline,
     save_config,

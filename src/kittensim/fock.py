@@ -181,6 +181,21 @@ def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix
     return _finalize(cut, deficit=max(deficit, 0.0))
 
 
+def _cat_amplitudes(alphas, parity: str, dim: int) -> np.ndarray:
+    """Rows c_n = alpha^n / sqrt(n! N), n < dim, of the untruncated cat, one per alpha > 0.
+
+    N = cosh(a) (even) or sinh(a) (odd) at a = alpha^2, in log space as
+    a + log((1 +/- e^(-2a)) / 2): no overflow, and expm1 keeps small alpha exact.
+    """
+    a = np.asarray(alphas, dtype=float)[:, None] ** 2
+    half = 0.5 * np.expm1(-2.0 * a)  # (1 +/- e^(-2a)) / 2 is 1 + half (even) or -half (odd)
+    log_norm = a + (np.log(-half) if parity == "odd" else np.log1p(half))
+    n = np.arange(dim)
+    log_fact = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
+    amps = np.exp(0.5 * (n * np.log(a) - log_fact - log_norm))
+    return np.where(n % 2 == (parity == "odd"), amps, 0.0)
+
+
 def cat_state(alpha: float, parity: str, nmax: int) -> np.ndarray:
     """Normalized even/odd cat state vector (|alpha> +/- |-alpha>) in the Fock basis.
 
@@ -192,7 +207,6 @@ def cat_state(alpha: float, parity: str, nmax: int) -> np.ndarray:
         raise ValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
     if alpha < 0.0:
         raise ValidationError("alpha must be >= 0")
-    rem = 1 if parity == "odd" else 0
     vec = np.zeros(nmax + 1)
     if alpha == 0.0:
         if parity == "odd":
@@ -203,16 +217,9 @@ def cat_state(alpha: float, parity: str, nmax: int) -> np.ndarray:
             vec[0] = 1.0
         return vec
 
-    n = np.arange(nmax + 1)
-    keep = n % 2 == rem
-    log_fact = np.fromiter(map(math.lgamma, range(1, nmax + 2)), float, nmax + 1)
-    logc = np.where(keep, n * math.log(alpha) - 0.5 * log_fact, -np.inf)
-    coeff = np.exp(logc)
+    coeff = _cat_amplitudes([alpha], parity, nmax + 1)[0]
     included = float((coeff**2).sum())
-    # Untruncated norm of the parity-projected coherent amplitudes:
-    # sum_{n in parity} alpha^(2n)/n! = cosh(alpha^2) or sinh(alpha^2).
-    total = math.sinh(alpha**2) if parity == "odd" else math.cosh(alpha**2)
-    deficit = 1.0 - included / total
+    deficit = 1.0 - included
     if deficit >= CAT_NORM_DEFICIT_TOL:
         raise NumericsError(
             f"cat state at alpha={alpha} loses norm {deficit:.3e} at nmax={nmax}"
@@ -395,51 +402,41 @@ def state_fidelity(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
     return float(np.sqrt(mid_evals).sum() ** 2)
 
 
+def _odd_cat_fidelities(rho: FockDensityMatrix, alphas) -> np.ndarray:
+    """cat_fidelity for each alpha > 0."""
+    # i^n c_n on odd n is i (-1)^((n-1)/2) c_n: a real vector up to a global phase
+    vecs = _cat_amplitudes(alphas, "odd", rho.dim) * (-1.0) ** (np.arange(rho.dim) // 2)
+    return ((vecs @ rho.entries.real) * vecs).sum(axis=1)
+
+
 def cat_fidelity(rho: FockDensityMatrix, alpha: float) -> float:
     """Fidelity of rho with the ideal (untruncated) odd cat of amplitude alpha.
 
     The cat's coherent lobes lie along p, where kitten states produced from
-    x-squeezed light develop theirs. It is built at a cutoff large enough that
-    its norm deficit is safely below 1e-8, then only the components inside
-    rho's truncated space contribute (rho is implicitly zero-padded).
+    x-squeezed light develop theirs. The cat is normalised on the full Fock
+    space and only its components inside rho's truncated space contribute
+    (rho is implicitly zero-padded). At alpha = 0 the cat is its limit |1>.
     """
-    big = max(rho.nmax, int(math.ceil(alpha**2 + 12.0 * alpha + 10.0)))
-    vec = cat_state(alpha, "odd", big).astype(complex)
-    vec *= np.exp(1j * (math.pi / 2) * np.arange(big + 1))
-    head = vec[: rho.dim]
-    val = np.vdot(head, rho.entries @ head)
-    return float(val.real)
+    if alpha < 0.0:
+        raise ValidationError("alpha must be >= 0")
+    if alpha == 0.0:
+        return float(rho.entries[1, 1].real) if rho.dim > 1 else 0.0
+    return float(_odd_cat_fidelities(rho, [alpha])[0])
 
 
 def best_cat_fidelity(rho: FockDensityMatrix) -> tuple[float, float]:
     """Maximize the odd, p-lobed cat fidelity over the amplitude alpha.
 
-    Deterministic grid scan over alpha in [0.01, 2] in steps of 0.01, followed
-    by a golden-section refinement of the best bracket down to 1e-4 in alpha.
+    Two deterministic scans: alpha in [0.01, 2] in steps of 0.01, then steps
+    of 1e-4 over the best point +/- 0.01, kept inside [0.01, 2].
     Returns (alpha_star, fidelity_star).
     """
-    alphas = np.arange(0.01, 2.0 + 0.5 * 0.01, 0.01)
-    scores = np.array([cat_fidelity(rho, float(al)) for al in alphas])
-    best = int(np.argmax(scores))
-
-    a = alphas[max(best - 1, 0)]
-    b = alphas[min(best + 1, len(alphas) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc = cat_fidelity(rho, float(c))
-    fe = cat_fidelity(rho, float(e))
-    while (b - a) > 1e-4:
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = cat_fidelity(rho, float(c))
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = cat_fidelity(rho, float(e))
-    alpha_star = 0.5 * (a + b)
-    return float(alpha_star), cat_fidelity(rho, float(alpha_star))
+    coarse = np.arange(1, 201) / 100
+    best = 100 * (1 + int(np.argmax(_odd_cat_fidelities(rho, coarse))))  # in units of 1e-4
+    fine = np.arange(max(best - 100, 100), min(best + 100, 20_000) + 1) / 1e4
+    scores = _odd_cat_fidelities(rho, fine)
+    k = int(np.argmax(scores))
+    return float(fine[k]), float(scores[k])
 
 
 # ---------------------------------------------------------------------------

@@ -246,12 +246,6 @@ def save_config(config: ExperimentConfig, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def config_as_dict(config: ExperimentConfig) -> dict:
-    out = asdict(config)
-    out["sampling"]["angles_deg"] = list(out["sampling"]["angles_deg"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Stage helpers (shared by run_pipeline and the CLI subcommands)
 # ---------------------------------------------------------------------------
@@ -308,21 +302,11 @@ class RunReport:
     config: dict
     metrics: dict
     manifest: dict
-    timings: dict
+    timings_s: dict
     out_dir: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "metrics": self.metrics,
-                "manifest": self.manifest,
-                "timings_s": self.timings,
-                "out_dir": self.out_dir,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -407,29 +391,27 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
     }
 
     tic = time.perf_counter()
-    save_density_matrix(source, out / "rho_source.json")
-    save_density_matrix(transmitted, out / "rho_transmitted.json")
-    save_samples_csv(dataset, out / "samples.csv")
-    save_density_matrix(recon_uncorr.rho, out / "rho_uncorrected.json")
-    artifact_names = [
-        "rho_source.json",
-        "rho_transmitted.json",
-        "samples.csv",
-        "rho_uncorrected.json",
-    ]
+    states = {
+        "rho_source.json": source,
+        "rho_transmitted.json": transmitted,
+        "rho_uncorrected.json": recon_uncorr.rho,
+    }
     if corrected is not None:
-        save_density_matrix(corrected.rho, out / "rho_corrected.json")
-        artifact_names.append("rho_corrected.json")
+        states["rho_corrected.json"] = corrected.rho
+    for name, rho in states.items():
+        save_density_matrix(rho, out / name)
+    save_samples_csv(dataset, out / "samples.csv")
     atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True))
-    artifact_names.append("metrics.json")
-    manifest = {name: sha256_file(out / name) for name in artifact_names}
+    manifest = {
+        name: sha256_file(out / name) for name in [*states, "samples.csv", "metrics.json"]
+    }
     timings["write_artifacts"] = time.perf_counter() - tic
 
     report = RunReport(
-        config=config_as_dict(config),
+        config=asdict(config),
         metrics=metrics,
         manifest=manifest,
-        timings=timings,
+        timings_s=timings,
         out_dir=str(out),
     )
     atomic_write_text(out / "report.json", report.to_json())
@@ -445,13 +427,18 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
 
 
 def verify_run_dir(run_dir) -> dict:
-    """Re-hash the artifacts listed in a run's report; raise on any mismatch."""
+    """Re-hash the artifacts listed in a run's report; raise on any mismatch.
+
+    The manifest must list metrics.json; the returned report carries its metrics.
+    """
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise ValidationError(f"{run_dir} does not contain report.json")
     report = json.loads(report_path.read_text())
     manifest = report.get("manifest", {})
+    if "metrics.json" not in manifest:
+        raise ValidationError(f"{report_path}: the manifest does not list metrics.json")
     for name, digest in manifest.items():
         target = run_dir / name
         if not target.exists():
@@ -461,4 +448,5 @@ def verify_run_dir(run_dir) -> dict:
             raise ValidationError(
                 f"artifact hash mismatch for {name}: {actual} != {digest}"
             )
+    report["metrics"] = json.loads((run_dir / "metrics.json").read_text())
     return report

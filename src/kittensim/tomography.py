@@ -421,24 +421,19 @@ def bootstrap_metric(
     cdfs = homodyne_cdfs(detected, draw_angles)
     block = _povm_block(config.bin_edges, config.eta_correction, config.nmax)
     phases = _angle_phases(draw_angles, config.nmax + 1)
-    root = np.random.SeedSequence(seed)
-    resample_seeds = root.spawn(n_resamples)
-
-    def one(idx: int) -> float | None:
+    values = []
+    for resample in np.random.SeedSequence(seed).spawn(n_resamples):
         # one plain integer sampler seed per angle, derived from the resample's sequence
-        seeds = [int(s.generate_state(1)[0]) for s in resample_seeds[idx].spawn(len(angles))]
+        seeds = [int(s.generate_state(1)[0]) for s in resample.spawn(len(angles))]
         dataset = draw_homodyne(cdfs, counts, seeds, angles)
         try:
             binned = bin_dataset(dataset, config)
             result = _mle_core(block, phases, binned, config)
         except KittenError:
-            return None
-        if not result.converged:
-            return None
-        return result.metrics["w00"]
-
-    outcomes = [one(i) for i in range(n_resamples)]
-    values = np.asarray([v for v in outcomes if v is not None])
+            continue
+        if result.converged:
+            values.append(result.metrics["w00"])
+    values = np.asarray(values)
     failures = n_resamples - values.size
     if values.size < 2:
         raise NumericsError("bootstrap produced fewer than 2 successful resamples")

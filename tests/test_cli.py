@@ -23,6 +23,7 @@ from kittensim import (
     load_samples_csv,
     mle_reconstruct,
     model_spectrum,
+    run_pipeline,
     save_config,
     save_spectrum_csv,
     wigner_origin,
@@ -414,6 +415,19 @@ def test_pipeline_and_report_cli(capsys, tmp_path):
     target = tmp_path / "run" / "metrics.json"
     target.write_text(target.read_text().replace("{", "{ ", 1))
     rc, _, err = run_cli(capsys, "report", "--run", str(tmp_path / "run"))
+    assert rc == 1
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_report_rejects_a_manifest_without_metrics(capsys, tmp_path):
+    # a manifest that does not hash metrics.json vouches for no metric
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    report = json.loads((out / "report.json").read_text())
+    report["manifest"] = {}
+    (out / "report.json").write_text(json.dumps(report))
+    (out / "metrics.json").write_text("not json")
+    rc, _, err = run_cli(capsys, "report", "--run", str(out))
     assert rc == 1
     assert json.loads(err)["error"] == "validation"
 

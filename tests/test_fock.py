@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from kittensim import (
     GaussianStateSpec,
     NumericsError,
     ValidationError,
+    apply_link,
     best_cat_fidelity,
     cat_fidelity,
     cat_state,
@@ -17,17 +19,21 @@ from kittensim import (
     density_matrix_to_json,
     fidelity,
     gaussian_state,
+    load_config,
     load_density_matrix,
     loss_channel,
+    mle_reconstruct,
     phase_diffusion,
     photon_subtract,
     save_density_matrix,
+    simulate_source_state,
     state_fidelity,
     variance_from_db,
     wigner,
     wigner_origin,
 )
 from kittensim.fock import _loss_amplitudes
+from kittensim.pipeline import detect_and_sample
 from kittensim.quadrature import marginal_variance
 
 from conftest import random_density_matrix
@@ -322,6 +328,67 @@ def test_best_cat_fidelity_purified_kitten():
     alpha_star, fid = best_cat_fidelity(rho)
     assert fid >= 0.99
     assert 0.8 <= alpha_star <= 1.0
+
+
+def reference_p_lobed_cats(alphas, dim=80):
+    """Rows (|i alpha> - |-i alpha>) / norm on `dim` levels, from the coherent amplitudes.
+
+    |i alpha> has amplitudes e^(-alpha^2/2) (i alpha)^n / sqrt(n!): the i^n
+    phases put the lobes along p. The norm is summed, not taken in closed form;
+    at alpha = 0 the cat is its limit |1>.
+    """
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    n = np.arange(dim)
+    root_fact = np.sqrt([float(math.factorial(k)) for k in n])
+    coherent = np.exp(-0.5 * alphas**2) * alphas**n / root_fact
+    cats = (1j**n - (-1j) ** n) * coherent
+    cats[alphas[:, 0] == 0.0] = n == 1
+    return cats / np.linalg.norm(cats, axis=1, keepdims=True)
+
+
+def reference_cat_fidelities(rho, alphas, dim=80):
+    """<cat| rho |cat> of the reference cats at each alpha, rho zero-padded to `dim`."""
+    padded = np.zeros((dim, dim), dtype=complex)
+    padded[: rho.dim, : rho.dim] = rho.entries
+    cats = reference_p_lobed_cats(alphas, dim)
+    return np.einsum("ki,ij,kj->k", cats.conj(), padded, cats).real
+
+
+def shipped_corrected_state(name):
+    """The loss-corrected reconstruction a shipped config's pipeline run writes."""
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini")
+    source, _ = simulate_source_state(config.state)
+    dataset = detect_and_sample(
+        apply_link(source, config.channel), config.detection, config.sampling
+    )
+    recon = config.reconstruction.to_config(config.detection.hd_eta)
+    return mle_reconstruct(dataset, recon).rho
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.7, 3.0])
+def test_cat_fidelity_matches_a_coherent_state_reference(kitten, lossy_kitten, alpha):
+    for rho in (kitten, lossy_kitten):
+        expected = reference_cat_fidelities(rho, [alpha])[0]
+        assert abs(cat_fidelity(rho, alpha) - expected) <= 1e-12
+
+
+def test_cat_fidelity_rejects_negative_alpha(kitten):
+    with pytest.raises(ValidationError):
+        cat_fidelity(kitten, -0.1)
+
+
+@pytest.mark.parametrize("name", ["local", "transmitted"])
+def test_best_cat_fidelity_matches_a_dense_scan(name):
+    rho = shipped_corrected_state(name)
+    # the reference fidelity in steps of 1e-5 over [0.01, 2], in chunks
+    alphas = np.linspace(0.01, 2.0, 199_001)
+    scores = np.concatenate(
+        [reference_cat_fidelities(rho, chunk, 40) for chunk in np.array_split(alphas, 40)]
+    )
+    k = int(np.argmax(scores))
+    alpha_star, fid = best_cat_fidelity(rho)
+    assert abs(alpha_star - alphas[k]) <= 1e-4
+    assert abs(fid - scores[k]) <= 1e-8
 
 
 def test_cat_orientation_matters(kitten):

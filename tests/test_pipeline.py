@@ -264,6 +264,17 @@ def test_verify_reports_missing_artifact(tmp_path):
         verify_run_dir(out)
 
 
+def test_verify_returns_the_hashed_metrics(tmp_path):
+    # report.json's copy of the metrics is not hashed: an edit there must not
+    # reach what verify_run_dir returns
+    out = tmp_path / "run"
+    run = run_pipeline(small_config(out))
+    report = json.loads((out / "report.json").read_text())
+    report["metrics"]["w00"] = 0.25
+    (out / "report.json").write_text(json.dumps(report))
+    assert verify_run_dir(out)["metrics"] == run.report.metrics
+
+
 def test_stagewise_run_matches_pipeline(tmp_path):
     config = small_config(tmp_path / "run")
     run = run_pipeline(config)
