@@ -176,21 +176,15 @@ def _parse_value(section: str, key: str, raw: str, kind):
         except ValidationError as exc:
             raise ValidationError(f"[{section}] {key}: {exc}") from exc
     if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValidationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if value is None:
+            raise ValidationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+        return value
     try:
-        return float(raw)
+        return kind(raw)  # int or float
     except ValueError as exc:
-        raise ValidationError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"[{section}] {key}: expected {noun}, got {raw!r}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -435,9 +429,9 @@ def verify_run_dir(run_dir) -> dict:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise ValidationError(f"{run_dir} does not contain report.json")
-    report = json.loads(report_path.read_text())
-    manifest = report.get("manifest", {})
-    if "metrics.json" not in manifest:
+    report = _read_json_object(report_path)
+    manifest = report.get("manifest")
+    if not isinstance(manifest, dict) or "metrics.json" not in manifest:
         raise ValidationError(f"{report_path}: the manifest does not list metrics.json")
     for name, digest in manifest.items():
         target = run_dir / name
@@ -445,8 +439,17 @@ def verify_run_dir(run_dir) -> dict:
             raise ValidationError(f"artifact missing: {name}")
         actual = sha256_file(target)
         if actual != digest:
-            raise ValidationError(
-                f"artifact hash mismatch for {name}: {actual} != {digest}"
-            )
-    report["metrics"] = json.loads((run_dir / "metrics.json").read_text())
+            raise ValidationError(f"artifact hash mismatch for {name}: {actual} != {digest}")
+    report["metrics"] = _read_json_object(run_dir / "metrics.json")
     return report
+
+
+def _read_json_object(path: Path) -> dict:
+    """The JSON object a run file holds; anything else is a ValidationError."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return payload

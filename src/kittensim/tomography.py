@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class ReconstructionConfig:
     """One reconstruction: Fock cutoff, bin grid, loss correction and stopping rule.
 
     The grid is bins of bin_width tiling [bin_min, bin_max], plus two implicit
-    open-ended edge bins; `bin_edges` is built from it once, on construction.
+    open-ended edge bins; `bin_edges` is built on construction, `povm_block` on first use.
     The iteration stops once its log-likelihood is certified to lie within
     gap_tol nats of the maximum, or after max_iters steps.
     """
@@ -85,6 +86,13 @@ class ReconstructionConfig:
             raise ValidationError("angle_overrides must map finite angles to finite angles")
         edges = np.linspace(self.bin_min, self.bin_max, round(widths) + 1)
         object.__setattr__(self, "bin_edges", edges)
+
+    @cached_property
+    def povm_block(self) -> np.ndarray:
+        """The read-only `_povm_block` of this grid, eta_correction and nmax."""
+        block = _povm_block(self.bin_edges, self.eta_correction, self.nmax)
+        block.flags.writeable = False
+        return block
 
 
 @dataclass(frozen=True)
@@ -223,26 +231,11 @@ def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) ->
 def mle_reconstruct(
     dataset: QuadratureDataset, config: ReconstructionConfig
 ) -> ReconstructionResult:
-    """Run the R rho R iteration from the maximally mixed state to convergence.
+    """Anderson-accelerated R rho R from the maximally mixed state to the certified MLE.
 
-    Stops once the certified likelihood gap is at most config.gap_tol, or
-    flags converged=False after config.max_iters.
-    """
-    binned = bin_dataset(dataset, config)
-    povm_angles = _resolve_angles(binned.angles, config.angle_overrides)
-    block = _povm_block(binned.edges, config.eta_correction, config.nmax)
-    return _mle_core(block, _angle_phases(povm_angles, config.nmax + 1), binned, config)
-
-
-def _mle_core(
-    block: np.ndarray,
-    phases: np.ndarray,
-    binned: BinnedData,
-    config: ReconstructionConfig,
-) -> ReconstructionResult:
-    """Anderson-accelerated R rho R on the real POVM block and one phase array per angle.
-
-    With Pi_aj = Phi_a * L_j (element-wise), p_aj = tr(Pi_aj rho) is
+    The samples are binned on the config's grid and the POVM element of bin j
+    at angle a (resolved through config.angle_overrides) is Pi_aj = Phi_a * L_j
+    (element-wise), with the config's real povm_block L_j. p_aj = tr(Pi_aj rho) is
     Re(Phi_a * rho^T) . L_j and R = sum_a Phi_a * (sum_j c_aj L_j). L_j and
     Re(Phi_a * rho^T) are real symmetric, so both products run on the
     dim (dim + 1) / 2 entries with m >= n, the off-diagonal ones counted twice
@@ -258,12 +251,12 @@ def _mle_core(
     not beat the current iterate's is replaced by G(A) and the pairs are
     dropped. The iteration stops once N (lambda_max(R) - 1), which bounds
     ll* - ll(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012), is at most
-    config.gap_tol; that gap is reported for the returned state.
+    config.gap_tol (converged=False after max_iters); that gap is reported.
     """
+    binned = bin_dataset(dataset, config)
+    povm_angles = _resolve_angles(binned.angles, config.angle_overrides)
     d = config.nmax + 1
-    total = binned.counts.sum()
-    if total <= 0:
-        raise ValidationError("dataset has no counts")
+    total = binned.counts.sum()  # bin_dataset rejects an empty dataset, so total >= 1
     occupied = binned.counts.any(axis=0)
     counts = binned.counts[:, occupied]
     # flat indices of the entries with m >= n and of their mirror images, so
@@ -271,9 +264,9 @@ def _mle_core(
     rows, cols = np.tril_indices(d)
     lower, upper = rows * d + cols, cols * d + rows
     # L_j is symmetric only to about 1 ulp: its lower triangle is the one used
-    packed = block[occupied].reshape(-1, d * d)[:, lower]
+    packed = config.povm_block[occupied].reshape(-1, d * d)[:, lower]
     doubled = packed * np.where(rows == cols, 1.0, 2.0)
-    packed_phases = phases.reshape(-1, d * d)[:, lower]
+    packed_phases = _angle_phases(povm_angles, d).reshape(-1, d * d)[:, lower]
     active = np.flatnonzero(counts)
     active_counts = counts.ravel()[active]
 
@@ -415,20 +408,15 @@ def bootstrap_metric(
     )
     angles = sorted(per_angle_counts)
     counts = [per_angle_counts[th] for th in angles]
-    draw_angles = _resolve_angles(np.asarray(angles), config.angle_overrides)
-    # every resample draws from the same marginals and bins at the same angles
-    # on the same grid: one set of CDFs, one block, one phase set
-    cdfs = homodyne_cdfs(detected, draw_angles)
-    block = _povm_block(config.bin_edges, config.eta_correction, config.nmax)
-    phases = _angle_phases(draw_angles, config.nmax + 1)
+    # every resample draws from the same marginals: one set of CDFs
+    cdfs = homodyne_cdfs(detected, _resolve_angles(np.asarray(angles), config.angle_overrides))
     values = []
     for resample in np.random.SeedSequence(seed).spawn(n_resamples):
         # one plain integer sampler seed per angle, derived from the resample's sequence
         seeds = [int(s.generate_state(1)[0]) for s in resample.spawn(len(angles))]
         dataset = draw_homodyne(cdfs, counts, seeds, angles)
         try:
-            binned = bin_dataset(dataset, config)
-            result = _mle_core(block, phases, binned, config)
+            result = mle_reconstruct(dataset, config)
         except KittenError:
             continue
         if result.converged:

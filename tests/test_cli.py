@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -430,6 +431,41 @@ def test_report_rejects_a_manifest_without_metrics(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "report", "--run", str(out))
     assert rc == 1
     assert json.loads(err)["error"] == "validation"
+
+
+def test_report_rejects_a_manifest_that_is_no_object(capsys, tmp_path):
+    # a string manifest "contains" the name metrics.json but maps no name to a hash
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    report = json.loads((out / "report.json").read_text())
+    report["manifest"] = "metrics.json"
+    (out / "report.json").write_text(json.dumps(report))
+    rc, _, err = run_cli(capsys, "report", "--run", str(out))
+    assert rc == 1
+    assert "the manifest does not list metrics.json" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("name", ["report.json", "metrics.json"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("garbage", "is not valid JSON"), ("[]", "does not hold a JSON object")],
+    ids=["garbage", "array"],
+)
+def test_report_rejects_a_run_file_that_is_no_json_object(
+    capsys, tmp_path, name, text, message
+):
+    # metrics.json is read once its hash checks out, so the manifest vouches for the bad text
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    report = json.loads((out / "report.json").read_text())
+    report["manifest"]["metrics.json"] = hashlib.sha256(text.encode()).hexdigest()
+    (out / "report.json").write_text(json.dumps(report))
+    (out / name).write_text(text)
+    rc, _, err = run_cli(capsys, "report", "--run", str(out))
+    assert rc == 1
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"{out / name} {message}")
 
 
 def test_pipeline_seed_override_changes_samples(capsys, tmp_path):

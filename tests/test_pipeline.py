@@ -115,6 +115,17 @@ def test_config_rejects_bad_boolean(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "raw, value",
+    [("True", True), ("YES", True), ("On", True), ("1", True),
+     ("fAlse", False), ("No", False), ("OFF", False), ("0", False)],
+)
+def test_config_reads_each_boolean_spelling(tmp_path, raw, value):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[state]\nv_x_db = -2.0\nv_p_db = 2.4\nsubtract = {raw}\n")
+    assert load_config(path).state.subtract is value
+
+
+@pytest.mark.parametrize(
     "width, message",
     [("0.07", "does not tile"), ("5.0", "does not tile"), ("100", "does not tile"),
      ("nan", "degenerate"), ("inf", "degenerate"),

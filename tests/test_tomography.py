@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +518,34 @@ def test_bootstrap_draws_at_override_angles(lossy_kitten):
     )
     assert overridden.failures == direct.failures == 0
     np.testing.assert_array_equal(overridden.values, direct.values)
+
+
+def test_bootstrap_shares_the_config_povm_block(lossy_kitten, monkeypatch):
+    # the block depends on the grid, eta and nmax only: a reconstruction and
+    # its bootstrap on one config build it once
+    calls = []
+    original = tomography._povm_block
+
+    def counting_block(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tomography, "_povm_block", counting_block)
+    config = ReconstructionConfig(nmax=6, eta_correction=HD_ETA)
+    counts = {0.0: 400, math.pi / 3: 400, 2 * math.pi / 3: 400}
+    dataset = small_dataset(loss_channel(lossy_kitten, HD_ETA), [0.0, 60.0, 120.0], 400, 9)
+    result = mle_reconstruct(dataset, config)
+    boot = bootstrap_metric(result.rho, config, counts, n_resamples=3, seed=2)
+    assert boot.failures == 0
+    assert len(calls) == 1
+    assert not config.povm_block.flags.writeable
+    with pytest.raises(ValueError):
+        config.povm_block[0, 0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        config.povm_block = np.zeros(1)
+    other = replace(config, eta_correction=0.7)
+    assert not np.array_equal(other.povm_block, config.povm_block)
+    assert len(calls) == 2 and calls[1][1] == 0.7
 
 
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
