@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +35,12 @@ ANDERSON_DEPTH = 4
 ANDERSON_REGULARIZATION = 1e-6
 # the certified gap costs an eigvalsh of R, so it is tested only once a step
 # gains less than this share of |log L|; testing it on every step stops on the
-# same step but made a 50-resample pipeline run 7-11 % slower (one Xeon vCPU)
+# same step but made a 50-resample pipeline run 7-11 % slower (one Xeon vCPU).
+# Past that test it is skipped where a Rayleigh quotient, shrunk by
+# RAYLEIGH_MARGIN for rounding in it and in eigvalsh, already puts the gap
+# above gap_tol (see mle_reconstruct)
 GAP_CHECK_GAIN = 1e-7
+RAYLEIGH_MARGIN = 1e-10
 MAX_BIN_COUNT = 10_000  # the shipped grid has 120; 10^7 would take the POVM block ~16 GB
 
 
@@ -45,9 +49,12 @@ class ReconstructionConfig:
     """One reconstruction: Fock cutoff, bin grid, loss correction and stopping rule.
 
     The grid is bins of bin_width tiling [bin_min, bin_max], plus two implicit
-    open-ended edge bins; `bin_edges` is built on construction, `povm_block` on first use.
-    The iteration stops once its log-likelihood is certified to lie within
-    gap_tol nats of the maximum, or after max_iters steps.
+    open-ended edge bins; `bin_edges` is built on construction. `povm_block` is
+    built on first use and shared by every config with the same grid,
+    eta_correction and nmax, whatever its angles and stopping rule; the blocks
+    of the last 2 such keys are kept. The iteration stops once its
+    log-likelihood is certified to lie within gap_tol nats of the maximum, or
+    after max_iters steps.
     """
 
     nmax: int = 12
@@ -87,12 +94,23 @@ class ReconstructionConfig:
         edges = np.linspace(self.bin_min, self.bin_max, round(widths) + 1)
         object.__setattr__(self, "bin_edges", edges)
 
-    @cached_property
+    @property
     def povm_block(self) -> np.ndarray:
-        """The read-only `_povm_block` of this grid, eta_correction and nmax."""
-        block = _povm_block(self.bin_edges, self.eta_correction, self.nmax)
-        block.flags.writeable = False
-        return block
+        """The read-only `_povm_block` of this grid, eta_correction and nmax, shared."""
+        return _shared_povm_block(
+            self.bin_min, self.bin_max, self.bin_width, self.eta_correction, self.nmax
+        )
+
+
+@lru_cache(maxsize=2)
+def _shared_povm_block(
+    bin_min: float, bin_max: float, bin_width: float, eta: float, nmax: int
+) -> np.ndarray:
+    """The read-only block of one (grid, eta, nmax); the last 2 used are kept."""
+    grid = ReconstructionConfig(nmax=nmax, bin_width=bin_width, bin_min=bin_min, bin_max=bin_max)
+    block = _povm_block(grid.bin_edges, eta, nmax)
+    block.flags.writeable = False
+    return block
 
 
 @dataclass(frozen=True)
@@ -252,6 +270,12 @@ def mle_reconstruct(
     dropped. The iteration stops once N (lambda_max(R) - 1), which bounds
     ll* - ll(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012), is at most
     config.gap_tol (converged=False after max_iters); that gap is reported.
+    The gap takes an eigvalsh of R, run on the last step and on steps that
+    gain less than GAP_CHECK_GAIN of |log L|, except where the Rayleigh
+    quotient v^dag R v at v, the top eigenvector of the last R whose gap was
+    above gap_tol, already exceeds 1 + gap_tol / N. That skip is exact:
+    lambda_max(R) >= v^dag R v, so a skipped eigvalsh could not have stopped
+    the iteration, and the result is bit for bit that of running each one.
     """
     binned = bin_dataset(dataset, config)
     povm_angles = _resolve_angles(binned.angles, config.angle_overrides)
@@ -271,6 +295,7 @@ def mle_reconstruct(
     active_counts = counts.ravel()[active]
 
     amp = np.eye(d, dtype=complex) / math.sqrt(d)
+    top = np.full(d, 1.0 / math.sqrt(d))  # R's top eigenvector at the last eigvalsh
     fallback = None  # G(A) of the current iterate while `amp` is a mixed proposal
     r_flat = np.empty(d * d, dtype=complex)
     r_op = r_flat.reshape(d, d)  # a view: each step writes R through r_flat
@@ -299,9 +324,12 @@ def mle_reconstruct(
         r_flat[lower] = r_lower
         last = iters == config.max_iters
         if last or (iters > 1 and ll - history[-2] < GAP_CHECK_GAIN * abs(ll)):
-            gap = float(total * (np.linalg.eigvalsh(r_op)[-1] - 1.0))
-            if last or gap <= config.gap_tol:
-                break
+            rayleigh = np.vdot(top, r_op @ top).real * (1.0 - RAYLEIGH_MARGIN)
+            if last or total * (rayleigh - 1.0) <= config.gap_tol:
+                gap = float(total * (np.linalg.eigvalsh(r_op)[-1] - 1.0))
+                if last or gap <= config.gap_tol:
+                    break
+                top = np.linalg.eigh(r_op)[1][:, -1]
         new_step = r_op @ amp
         new_step = (new_step / math.sqrt(np.vdot(new_step, new_step).real)).ravel()
         new_residual = new_step - amp.ravel()

@@ -425,6 +425,56 @@ def test_shipped_reconstructions_reach_the_certified_optimum(name):
         assert_certified_optimum(result, stack, binned.counts.ravel(), 1e-4)
 
 
+# iterations_used, gap and the SHA-256 of rho.entries of each reference case,
+# recorded when every step past the GAP_CHECK_GAIN test ran an eigvalsh of R
+PINNED_RECONSTRUCTIONS = {
+    ("scan", 6): (
+        89, 0.009286369833105823,
+        "a4bb33f6a944dbcd68c97d628036f08587e42201af68c6aba1795ef0c430781d",
+    ),
+    ("scan", 12): (
+        106, 0.004859597924067316,
+        "dade20987a940b159f11bac886626e655d0e0da973cb9986025a139fc87fceaa",
+    ),
+    ("nominal", 12): (
+        94, 0.005070570097132077,
+        "ceb6881cd0fb9455c1e899a4864649d026a962f5df036bce80aec1be60804211",
+    ),
+    ("overrides", 12): (
+        78, 0.00953573875195346,
+        "e99544b1b9ef07802f7a9f15e8fe9afe0b45bea42264e7a71f87439c03a7912c",
+    ),
+    ("empty-bin", 12): (
+        94, 0.0050705113441296135,
+        "60e0d8b2e07e991db096362262d06b841fb7ff4aa81770264b565059eb67d976",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, nmax", sorted(PINNED_RECONSTRUCTIONS))
+def test_rayleigh_screen_keeps_reconstructions_bit_for_bit(lossy_kitten, monkeypatch, case, nmax):
+    # an eigvalsh skipped because the Rayleigh quotient already shows a gap
+    # above gap_tol could not have stopped the loop: every stop, and so the
+    # state, the step count and the reported gap, stay as they were
+    dataset, config, _ = reference_case(lossy_kitten, case)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    result = mle_reconstruct(dataset, replace(config, nmax=nmax))
+    iterations, gap, digest = PINNED_RECONSTRUCTIONS[case, nmax]
+    assert result.iterations_used == iterations
+    assert result.metrics["gap"] == gap
+    assert hashlib.sha256(result.rho.entries.tobytes()).hexdigest() == digest
+    # the screen leaves at most one eigvalsh in four steps; with every gap
+    # test run these took 51-76 calls, one per 1.3-1.7 steps
+    assert 4 * len(calls) <= result.iterations_used
+
+
 def test_bootstrap_statistics(lossy_kitten):
     config = ReconstructionConfig(nmax=6, max_iters=400)
     boot = bootstrap_metric(
@@ -520,9 +570,9 @@ def test_bootstrap_draws_at_override_angles(lossy_kitten):
     np.testing.assert_array_equal(overridden.values, direct.values)
 
 
-def test_bootstrap_shares_the_config_povm_block(lossy_kitten, monkeypatch):
-    # the block depends on the grid, eta and nmax only: a reconstruction and
-    # its bootstrap on one config build it once
+@pytest.fixture
+def povm_block_calls(monkeypatch):
+    """The arguments of each `_povm_block` call, with no block kept before or after."""
     calls = []
     original = tomography._povm_block
 
@@ -531,12 +581,25 @@ def test_bootstrap_shares_the_config_povm_block(lossy_kitten, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(tomography, "_povm_block", counting_block)
+    # blocks are shared process-wide: a block an earlier test built must not count
+    tomography._shared_povm_block.cache_clear()
+    yield calls
+    tomography._shared_povm_block.cache_clear()
+
+
+def test_bootstrap_shares_the_config_povm_block(lossy_kitten, povm_block_calls):
+    # the block depends on the grid, eta and nmax only: a reconstruction and
+    # its bootstrap on one config build it once
+    calls = povm_block_calls
     config = ReconstructionConfig(nmax=6, eta_correction=HD_ETA)
     counts = {0.0: 400, math.pi / 3: 400, 2 * math.pi / 3: 400}
     dataset = small_dataset(loss_channel(lossy_kitten, HD_ETA), [0.0, 60.0, 120.0], 400, 9)
     result = mle_reconstruct(dataset, config)
     boot = bootstrap_metric(result.rho, config, counts, n_resamples=3, seed=2)
     assert boot.failures == 0
+    assert len(calls) == 1
+    overridden = replace(config, angle_overrides={th: th + 0.01 for th in counts})
+    assert overridden.povm_block is config.povm_block
     assert len(calls) == 1
     assert not config.povm_block.flags.writeable
     with pytest.raises(ValueError):
@@ -546,6 +609,41 @@ def test_bootstrap_shares_the_config_povm_block(lossy_kitten, monkeypatch):
     other = replace(config, eta_correction=0.7)
     assert not np.array_equal(other.povm_block, config.povm_block)
     assert len(calls) == 2 and calls[1][1] == 0.7
+
+
+def test_povm_block_is_kept_per_grid_eta_and_nmax(povm_block_calls):
+    # configs that differ only in the stopping rule or the angle table share
+    # one block; any other field builds a new one, and of the blocks built
+    # the last two used are kept
+    calls = povm_block_calls
+    config = ReconstructionConfig(nmax=4, eta_correction=0.9)
+    block = config.povm_block
+    for same in ({"max_iters": 7}, {"gap_tol": 0.5}, {"angle_overrides": {0.0: 0.1}}):
+        assert replace(config, **same).povm_block is block
+    assert len(calls) == 1
+    changes = [
+        {"eta_correction": 0.8},
+        {"nmax": 5},
+        {"bin_width": 0.2},
+        {"bin_min": -5.0},
+        {"bin_max": 5.0},
+    ]
+    for n, change in enumerate(changes, start=2):
+        changed = replace(config, **change)
+        assert changed.povm_block is not block
+        assert len(calls) == n
+        np.testing.assert_array_equal(calls[-1][0], changed.bin_edges)
+        assert calls[-1][1:] == (changed.eta_correction, changed.nmax)
+    first, second, third = (replace(config, nmax=n) for n in (1, 2, 3))
+    kept = [first.povm_block, second.povm_block]
+    assert first.povm_block is kept[0] and second.povm_block is kept[1]
+    built = len(calls)
+    third.povm_block  # evicts `first`, the least recently used
+    assert second.povm_block is kept[1]
+    assert len(calls) == built + 1
+    rebuilt = first.povm_block
+    assert rebuilt is not kept[0] and len(calls) == built + 2
+    np.testing.assert_array_equal(rebuilt, kept[0])
 
 
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
