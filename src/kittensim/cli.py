@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,14 +241,9 @@ def _cmd_bootstrap(args) -> None:
         n_resamples=args.resamples,
         seed=args.seed,
     )
-    _emit({
-        "metric": boot.metric,
-        "mean": boot.mean,
-        "std": boot.std,
-        "n_resamples": boot.n_resamples,
-        "failures": boot.failures,
-        "valid": boot.valid,
-    }, args.out)
+    receipt = asdict(boot)
+    del receipt["values"]
+    _emit(receipt, args.out)
 
 
 def _cmd_pipeline(args) -> None:

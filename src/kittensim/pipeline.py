@@ -8,6 +8,7 @@ one-shot pipeline bit for bit (all randomness derives from the config seed).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import time
@@ -260,11 +261,14 @@ def simulate_source_state(state: StateSection) -> tuple[FockDensityMatrix, float
     rho_sub, weight = photon_subtract(rho_sqz)
     xi = state.purity_mix
     if xi < 1.0:
-        # drop the squeezed state's (empty) top level to match dimensions
+        # drop the squeezed state's top level to match dimensions; its
+        # population joins the background's truncation loss
         trunc = rho_sqz.entries[: rho_sub.dim, : rho_sub.dim]
+        dropped = float(rho_sqz.entries[-1, -1].real)
         trunc = trunc / np.trace(trunc).real
         mixed = xi * rho_sub.entries + (1.0 - xi) * trunc
-        rho_sub = FockDensityMatrix(nmax=rho_sub.nmax, entries=mixed)
+        deficit = xi * rho_sub.trace_deficit + (1.0 - xi) * (rho_sqz.trace_deficit + dropped)
+        rho_sub = FockDensityMatrix(nmax=rho_sub.nmax, entries=mixed, trace_deficit=deficit)
     return rho_sub, weight
 
 
@@ -324,82 +328,74 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
-    tic = time.perf_counter()
-    source, weight = simulate_source_state(config.state)
-    timings["prepare_state"] = time.perf_counter() - tic
+    @contextlib.contextmanager
+    def stage(name: str):
+        tic = time.perf_counter()
+        yield
+        timings[name] = time.perf_counter() - tic
 
-    tic = time.perf_counter()
-    transmitted = apply_link(source, config.channel)
-    timings["link_channel"] = time.perf_counter() - tic
+    with stage("prepare_state"):
+        source, weight = simulate_source_state(config.state)
+    with stage("link_channel"):
+        transmitted = apply_link(source, config.channel)
+    with stage("sample"):
+        dataset = detect_and_sample(transmitted, config.detection, config.sampling)
 
-    tic = time.perf_counter()
-    dataset = detect_and_sample(transmitted, config.detection, config.sampling)
-    timings["sample"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    primary_cfg = config.reconstruction.to_config(1.0)
-    recon_uncorr = mle_reconstruct(dataset, primary_cfg)
-    corrected = None
-    if config.detection.correct_loss and config.detection.hd_eta < 1.0:
-        primary_cfg = config.reconstruction.to_config(config.detection.hd_eta)
-        corrected = mle_reconstruct(dataset, primary_cfg)
-    timings["reconstruct"] = time.perf_counter() - tic
+    with stage("reconstruct"):
+        primary_cfg = config.reconstruction.to_config(1.0)
+        recon_uncorr = mle_reconstruct(dataset, primary_cfg)
+        corrected = None
+        if config.detection.correct_loss and config.detection.hd_eta < 1.0:
+            primary_cfg = config.reconstruction.to_config(config.detection.hd_eta)
+            corrected = mle_reconstruct(dataset, primary_cfg)
     primary = corrected if corrected is not None else recon_uncorr
 
     boot = None
     if config.reconstruction.bootstrap_resamples > 0:
-        tic = time.perf_counter()
-        boot = bootstrap_metric(
-            primary.rho,
-            primary_cfg,
-            per_angle_counts=dict.fromkeys(
-                map(math.radians, config.sampling.angles_deg), config.sampling.per_angle_count
-            ),
-            n_resamples=config.reconstruction.bootstrap_resamples,
-            seed=config.sampling.seed + _BOOTSTRAP_SEED_OFFSET,
-        )
-        timings["bootstrap"] = time.perf_counter() - tic
+        with stage("bootstrap"):
+            boot = bootstrap_metric(
+                primary.rho,
+                primary_cfg,
+                per_angle_counts=dict.fromkeys(
+                    map(math.radians, config.sampling.angles_deg), config.sampling.per_angle_count
+                ),
+                n_resamples=config.reconstruction.bootstrap_resamples,
+                seed=config.sampling.seed + _BOOTSTRAP_SEED_OFFSET,
+            )
 
-    tic = time.perf_counter()
-    alpha_star, cat_fid = best_cat_fidelity(primary.rho)
-    timings["cat_fit"] = time.perf_counter() - tic
+    with stage("cat_fit"):
+        alpha_star, cat_fid = best_cat_fidelity(primary.rho)
 
     metrics = {
-        "w00": primary.metrics["w00"],
+        **primary.metrics,
         "w00_uncorrected": recon_uncorr.metrics["w00"],
         "w00_corrected": None if corrected is None else corrected.metrics["w00"],
         "w00_std": None if boot is None else boot.std,
         "bootstrap_failures": None if boot is None else boot.failures,
-        "var_deg": primary.metrics["var_deg"],
         "var_db": {
             k: db_from_variance(v) for k, v in primary.metrics["var_deg"].items()
         },
         "alpha_star": alpha_star,
         "cat_fidelity": cat_fid,
         "subtract_weight": weight,
-        "iterations": primary.metrics["iterations"],
-        "converged": primary.metrics["converged"],
-        "loglik": primary.metrics["loglik"],
-        "gap": primary.metrics["gap"],
         "gap_uncorrected": recon_uncorr.metrics["gap"],
     }
 
-    tic = time.perf_counter()
-    states = {
-        "rho_source.json": source,
-        "rho_transmitted.json": transmitted,
-        "rho_uncorrected.json": recon_uncorr.rho,
-    }
-    if corrected is not None:
-        states["rho_corrected.json"] = corrected.rho
-    for name, rho in states.items():
-        save_density_matrix(rho, out / name)
-    save_samples_csv(dataset, out / "samples.csv")
-    atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True))
-    manifest = {
-        name: sha256_file(out / name) for name in [*states, "samples.csv", "metrics.json"]
-    }
-    timings["write_artifacts"] = time.perf_counter() - tic
+    with stage("write_artifacts"):
+        states = {
+            "rho_source.json": source,
+            "rho_transmitted.json": transmitted,
+            "rho_uncorrected.json": recon_uncorr.rho,
+        }
+        if corrected is not None:
+            states["rho_corrected.json"] = corrected.rho
+        for name, rho in states.items():
+            save_density_matrix(rho, out / name)
+        save_samples_csv(dataset, out / "samples.csv")
+        atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True))
+        manifest = {
+            name: sha256_file(out / name) for name in [*states, "samples.csv", "metrics.json"]
+        }
 
     report = RunReport(
         config=asdict(config),

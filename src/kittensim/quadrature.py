@@ -72,21 +72,12 @@ def marginal_variance(rho: FockDensityMatrix, theta: float) -> float:
     Uses q^2 = (a^2 e^{2i theta} + h.c. + 2 a^dag a + 1)/2 and subtracts the
     squared mean.
     """
-    d = rho.dim
     diag = np.diag(rho.entries).real
-    n = np.arange(d)
-    # <a^2>: entries rho_{m, m+2} weighted sqrt((m+1)(m+2))
-    if d >= 3:
-        m = np.arange(d - 2)
-        a2 = (np.sqrt((m + 1) * (m + 2)) * np.diagonal(rho.entries, offset=2)).sum()
-    else:
-        a2 = 0.0
-    # <a>: entries rho_{m, m+1} weighted sqrt(m+1)
-    if d >= 2:
-        m1 = np.arange(d - 1)
-        a1 = (np.sqrt(m1 + 1) * np.diagonal(rho.entries, offset=1)).sum()
-    else:
-        a1 = 0.0
+    n = np.arange(rho.dim)
+    # <a^2>: entries rho_{m, m+2} weighted sqrt((m+1)(m+2)); <a>: entries
+    # rho_{m, m+1} weighted sqrt(m+1). Below dim 3 or 2 the diagonal is empty and sums to 0
+    a2 = (np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) * np.diagonal(rho.entries, offset=2)).sum()
+    a1 = (np.sqrt(n[:-1] + 1) * np.diagonal(rho.entries, offset=1)).sum()
     mean_n = float((n * diag).sum())
     second = 0.5 * (2.0 * (a2 * np.exp(2j * theta)).real + 2.0 * mean_n + 1.0)
     mean_q = math.sqrt(2.0) * (a1 * np.exp(1j * theta)).real

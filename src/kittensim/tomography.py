@@ -270,6 +270,9 @@ def mle_reconstruct(
     dropped. The iteration stops once N (lambda_max(R) - 1), which bounds
     ll* - ll(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012), is at most
     config.gap_tol (converged=False after max_iters); that gap is reported.
+    The bound needs tr(rho R) = 1, which fails once an observed bin's
+    probability is raised to PROB_FLOOR: the gap of a state with such a bin
+    bounds nothing, and that state is never converged.
     The gap takes an eigvalsh of R, run on the last step and on steps that
     gain less than GAP_CHECK_GAIN of |log L|, except where the Rayleigh
     quotient v^dag R v at v, the top eigenvector of the last R whose gap was
@@ -354,7 +357,7 @@ def mle_reconstruct(
     floored_bins = int(np.count_nonzero(active_probs < PROB_FLOOR))
 
     state = FockDensityMatrix(nmax=config.nmax, entries=0.5 * (rho + rho.conj().T))
-    converged = gap <= config.gap_tol
+    converged = gap <= config.gap_tol and floored_bins == 0
     metrics = {
         "w00": wigner_origin(state),
         "var_deg": {

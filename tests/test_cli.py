@@ -18,7 +18,9 @@ from kittensim import (
     SamplingSection,
     SpectrumData,
     SpectrumModelParams,
+    QuadratureDataset,
     StateSection,
+    bootstrap_metric,
     load_config,
     load_density_matrix,
     load_samples_csv,
@@ -26,6 +28,7 @@ from kittensim import (
     model_spectrum,
     run_pipeline,
     save_config,
+    save_samples_csv,
     save_spectrum_csv,
     wigner_origin,
 )
@@ -241,6 +244,21 @@ def test_reconstruct_nonconvergence_exits_2(capsys, tmp_path):
     assert out_rho.exists()  # best-so-far state is still written
 
 
+def test_reconstruct_of_a_floored_bin_exits_2(capsys, tmp_path):
+    # all samples far past the grid: the edge bin is floored, so the negative
+    # gap certifies nothing
+    samples = tmp_path / "far.csv"
+    save_samples_csv(QuadratureDataset(np.zeros(500), np.full(500, 50.0)), samples)
+    rc, out, err = run_cli(
+        capsys, "reconstruct", "--samples", str(samples), "--nmax", "2",
+        "--out-rho", str(tmp_path / "recon.json"),
+    )
+    assert rc == 2
+    assert json.loads(err)["error"] == "numerics"
+    assert json.loads(out)["converged"] is False
+    assert json.loads(out)["gap"] < 0.0
+
+
 def test_missing_input_exits_1(capsys, tmp_path):
     rc, _, err = run_cli(
         capsys, "reconstruct", "--samples", str(tmp_path / "nope.csv"),
@@ -393,6 +411,29 @@ def test_bootstrap_cli(capsys, tmp_path):
     assert summary["std"] > 0.0
     assert summary["failures"] == 0
     assert summary["valid"] is True
+
+
+def test_bootstrap_cli_prints_the_result_record(capsys, tmp_path):
+    rho_path, _ = make_state(capsys, tmp_path)
+    out_path = tmp_path / "boot.json"
+    rc, out, _ = run_cli(
+        capsys, "bootstrap", "--rho", str(rho_path), "--angles-deg", "0,90",
+        "--count", "300", "--nmax", "6", "--resamples", "3", "--seed", "2",
+        "--out", str(out_path),
+    )
+    assert rc == 0
+    boot = bootstrap_metric(
+        load_density_matrix(rho_path),
+        ReconstructionConfig(nmax=6),
+        per_angle_counts={0.0: 300, math.pi / 2: 300},
+        n_resamples=3,
+        seed=2,
+    )
+    record = asdict(boot)
+    del record["values"]
+    assert json.loads(out) == record
+    assert set(record) == {"metric", "mean", "std", "n_resamples", "failures", "valid"}
+    assert out_path.read_text() == out.rstrip("\n")
 
 
 def test_pipeline_and_report_cli(capsys, tmp_path):

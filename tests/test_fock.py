@@ -464,3 +464,23 @@ def test_density_matrix_rejects_non_finite_entries(bad):
     text = '{"nmax": 1, "re": [[NaN, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
     with pytest.raises(ValidationError, match="non-finite"):
         density_matrix_from_json(text)
+
+
+def test_constructors_and_channels_pass_validate(sqz_state, kitten, lossy_kitten):
+    # gaussian_state, photon_subtract, loss_channel and phase_diffusion outputs
+    for rho in (sqz_state, kitten, lossy_kitten, phase_diffusion(lossy_kitten, 0.3)):
+        rho.validate()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0.5, 1e-9], [0.0, 0.5]], "not Hermitian"),
+        ([[0.5 + 2e-10, 0.0], [0.0, 0.5]], "trace differs from 1"),
+        ([[1.0 + 2e-9, 0.0], [0.0, -2e-9]], "eigenvalue below"),
+    ],
+)
+def test_validate_names_the_broken_invariant(entries, message):
+    rho = FockDensityMatrix(nmax=1, entries=np.array(entries))
+    with pytest.raises(ValidationError, match=message):
+        rho.validate()

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -342,3 +342,45 @@ def test_bootstrap_metrics_populated(tmp_path):
     assert run.report.metrics["w00_std"] == run.bootstrap.std
     assert run.report.metrics["w00_std"] > 0.0
     assert run.report.metrics["bootstrap_failures"] == 0
+
+
+def test_purity_mix_records_the_truncation_loss():
+    # the background keeps its squeezed state's truncation loss and loses that
+    # state's top level too, which the subtracted state cannot populate
+    section = StateSection(v_x_db=-2.0, v_p_db=2.4, purity_mix=0.9, nmax=16)
+    mixed, _ = simulate_source_state(section)
+    subtracted, _ = simulate_source_state(replace(section, purity_mix=1.0))
+    background, _ = simulate_source_state(replace(section, subtract=False))
+    dropped = background.entries[-1, -1].real
+    assert subtracted.trace_deficit > 0.0 and dropped > 0.0
+    expected = 0.9 * subtracted.trace_deficit + 0.1 * (background.trace_deficit + dropped)
+    assert mixed.trace_deficit == pytest.approx(expected, rel=1e-12)
+    link = ChannelSection(link_eta=0.78, phase_sigma_deg=19.4)
+    assert apply_link(mixed, link).trace_deficit == mixed.trace_deficit
+
+
+def test_every_state_of_a_run_passes_validate(tmp_path):
+    config = small_config(
+        tmp_path / "run",
+        state=StateSection(v_x_db=-2.0, v_p_db=2.4, purity_mix=0.9, nmax=14),
+    )
+    run = run_pipeline(config)
+    # the uncorrected and corrected states are mle_reconstruct results
+    for rho in (run.source, run.transmitted, run.uncorrected.rho, run.corrected.rho):
+        rho.validate()
+
+
+@pytest.mark.parametrize("resamples", [0, 3])
+def test_report_times_exactly_the_stages_that_ran(tmp_path, resamples):
+    config = small_config(
+        tmp_path / "run",
+        sampling=SamplingSection(angles_deg=(0.0, 60.0, 120.0), per_angle_count=300, seed=2),
+        reconstruction=ReconstructionSection(
+            nmax=6, max_iters=1500, bootstrap_resamples=resamples
+        ),
+    )
+    run_pipeline(config)
+    timings = json.loads((tmp_path / "run" / "report.json").read_text())["timings_s"]
+    stages = {"prepare_state", "link_channel", "sample", "reconstruct", "cat_fit", "write_artifacts"}
+    assert set(timings) == (stages | {"bootstrap"} if resamples else stages)
+    assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())

@@ -28,6 +28,8 @@ from kittensim import (
 from kittensim.quadrature import QuadratureDataset
 from kittensim.spectrum import dephased_variance
 
+from conftest import random_density_matrix
+
 
 def test_wavefunctions_orthonormal():
     x = np.linspace(-10.0, 10.0, 4001)
@@ -195,3 +197,27 @@ def test_dataset_rejects_non_finite_entries(field, bad):
     arrays[field][1] = bad
     with pytest.raises(ValidationError):
         QuadratureDataset(**arrays)
+
+
+@pytest.mark.parametrize(
+    "nmax, expected",
+    [
+        (0, [0.5, 0.5, 0.5]),
+        (1, [0.9177424891445042, 1.0412654918942674, 1.0364072672789868]),
+        (2, [1.492950991335687, 1.3854909324026998, 1.4399105163603063]),
+    ],
+)
+def test_marginal_variance_below_three_levels(nmax, expected):
+    # pinned from the per-dimension branches the one expression replaced; the
+    # state padded with empty levels takes the general path to the same values
+    if nmax == 0:
+        entries = np.ones((1, 1))
+    else:
+        entries = random_density_matrix(np.random.default_rng(nmax), nmax + 1)
+    padded = np.zeros((5, 5), dtype=complex)
+    padded[: nmax + 1, : nmax + 1] = entries
+    thetas = (0.0, 0.7, math.pi / 2)
+    rho = FockDensityMatrix(nmax=nmax, entries=entries)
+    assert [marginal_variance(rho, th) for th in thetas] == expected
+    big = FockDensityMatrix(nmax=4, entries=padded)
+    np.testing.assert_allclose([marginal_variance(big, th) for th in thetas], expected, rtol=1e-14)

@@ -646,6 +646,64 @@ def test_povm_block_is_kept_per_grid_eta_and_nmax(povm_block_calls):
     np.testing.assert_array_equal(rebuilt, kept[0])
 
 
+# every sample lies far past the grid, in the open edge bin, where any state
+# at nmax = 2 has a probability below PROB_FLOOR (at most 3e-14)
+FAR_DATASET = QuadratureDataset(angles=np.zeros(500), values=np.full(500, 50.0))
+
+
+def test_a_floored_bin_voids_the_certificate():
+    # the floor lifts tr(rho R) above 1, so N (lambda_max(R) - 1) goes
+    # negative and bounds nothing
+    result = mle_reconstruct(FAR_DATASET, ReconstructionConfig(nmax=2))
+    assert result.diagnostics["floored_bins"] == 1
+    assert result.metrics["gap"] < 0.0
+    assert result.converged is False
+    assert result.metrics["converged"] is False
+
+
+def _raise_on_second_reconstruction(monkeypatch):
+    calls = []
+
+    def failing(dataset, config):
+        calls.append(dataset)
+        if len(calls) == 2:
+            raise NumericsError("injected failure")
+        return mle_reconstruct(dataset, config)
+
+    monkeypatch.setattr(tomography, "mle_reconstruct", failing)
+
+
+def _floor_second_draw(monkeypatch):
+    calls = []
+
+    def far_draw(*args, **kwargs):
+        calls.append(draw_homodyne(*args, **kwargs))
+        return FAR_DATASET if len(calls) == 2 else calls[-1]
+
+    monkeypatch.setattr(tomography, "draw_homodyne", far_draw)
+
+
+@pytest.mark.parametrize("fault", [_raise_on_second_reconstruction, _floor_second_draw])
+@pytest.mark.parametrize("n_resamples, valid", [(5, False), (10, True)])
+def test_a_failed_resample_is_counted_and_shifts_no_other(
+    lossy_kitten, monkeypatch, fault, n_resamples, valid
+):
+    kwargs = dict(
+        config=ReconstructionConfig(nmax=2, eta_correction=HD_ETA),
+        per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
+        n_resamples=n_resamples,
+        seed=5,
+    )
+    clean = bootstrap_metric(lossy_kitten, **kwargs)
+    assert clean.failures == 0
+    fault(monkeypatch)
+    boot = bootstrap_metric(lossy_kitten, **kwargs)
+    assert boot.failures == 1
+    np.testing.assert_array_equal(boot.values, np.delete(clean.values, 1))
+    # more than 10 % of the resamples failed at 5, not at 10
+    assert boot.valid is valid
+
+
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
     # one-iteration reconstructions never converge, so every resample fails
     config = ReconstructionConfig(nmax=6, max_iters=1)
