@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .temporal import (
     synthesize_gaussian_traces,
     TimeTrace,
 )
-from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct
+from .tomography import PROB_FLOOR, ReconstructionConfig, bootstrap_metric, mle_reconstruct
 from .util import atomic_write_text, write_csv
 
 _GAMMA_MHZ = 8.0  # default OPO decay rate gamma / 2 pi, in MHz
@@ -63,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-_RECONSTRUCTION_FLAGS = ("nmax", "bin_width", "bin_min", "bin_max", "max_iters", "gap_tol")
+_RECONSTRUCTION_FLAGS = tuple(  # `bootstrap` takes the bootstrap size as --resamples
+    f.name for f in fields(ReconstructionSection) if f.name != "bootstrap_resamples")
 
 
 def _add_section_flags(parser: argparse.ArgumentParser, section, names) -> None:
@@ -74,15 +75,30 @@ def _add_section_flags(parser: argparse.ArgumentParser, section, names) -> None:
 
 
 def _add_reconstruction_flags(parser: argparse.ArgumentParser) -> None:
-    """The reconstruct/bootstrap flags, defaulted as ReconstructionConfig is."""
+    """The reconstruct/bootstrap flags, defaulted as the [reconstruction] section is."""
     parser.add_argument("--eta", type=float, default=ReconstructionConfig.eta_correction)
-    _add_section_flags(parser, ReconstructionConfig, _RECONSTRUCTION_FLAGS)
+    _add_section_flags(parser, ReconstructionSection, _RECONSTRUCTION_FLAGS)
 
 
 def _reconstruction_config(args) -> ReconstructionConfig:
     """The reconstruct/bootstrap flags as a config."""
-    recon = {name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS}
-    return ReconstructionConfig(**recon, eta_correction=args.eta)
+    flags = {name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS}
+    return ReconstructionSection(**flags).to_config(args.eta)
+
+
+def _require_certified(metrics: dict, gap_tol: float) -> None:
+    """Raise NumericsError saying why a reconstruction's record is not converged."""
+    if metrics["converged"]:
+        return
+    if metrics["floored_bins"]:
+        raise NumericsError(
+            f"{metrics['floored_bins']} observed bin(s) below the {PROB_FLOOR:g} probability "
+            "floor: the gap bounds nothing, so the reconstruction is not certified"
+        )
+    raise NumericsError(
+        f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
+        f"{gap_tol:g} after {metrics['iterations']} iterations"
+    )
 
 
 def _rad_per_s(mhz: float) -> float:
@@ -200,8 +216,7 @@ def _cmd_reconstruct(args) -> None:
     result = mle_reconstruct(ds, config)
     save_density_matrix(result.rho, args.out_rho)
     _emit({**result.metrics, "out_rho": str(args.out_rho)}, args.out_metrics)
-    if not result.converged:
-        raise NumericsError("reconstruction did not converge")
+    _require_certified(result.metrics, config.gap_tol)
 
 
 def _cmd_wigner_grid(args) -> None:
@@ -252,8 +267,7 @@ def _cmd_pipeline(args) -> None:
         config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
     _emit(run.report.to_json())
-    if not run.report.metrics["converged"]:
-        raise NumericsError("reconstruction did not converge")
+    _require_certified(run.report.metrics, config.reconstruction.gap_tol)
 
 
 def _cmd_report(args) -> None:

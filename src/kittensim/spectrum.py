@@ -34,6 +34,7 @@ from .util import match_angle, read_csv, write_csv
 _FIXED_ANGLES = (0.0, math.pi / 2)
 _SPECTRUM_HEADER = ("freq_hz", "angle_deg", "variance_snu")
 _CLEARANCE_HEADER = ("freq_hz", "clearance")
+MAX_LM_STEPS = 500  # Levenberg-Marquardt steps before joint_fit returns a capped fit
 
 
 def spectral_variances(f, gamma: float, epsilon: float, eta: float):
@@ -165,7 +166,7 @@ class FitResult:
 
 
 def _box_least_squares(
-    fun, x: np.ndarray, lower: np.ndarray, upper: np.ndarray, max_outer: int
+    fun, x: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Levenberg-Marquardt on the box [lower, upper], steps clipped to the box.
 
@@ -173,13 +174,13 @@ def _box_least_squares(
     parameter on a bound whose gradient points out of the box is held there for
     the step, so the others converge on that face instead of creeping along it.
     Stops when the cost drops by less than 1e-10 of itself, the largest step is
-    below 1e-9, or no damped step lowers the cost. Returns (x, residual,
-    iterations, converged).
+    below 1e-9, or no damped step lowers the cost, and after MAX_LM_STEPS
+    steps unconverged. Returns (x, residual, iterations, converged).
     """
     x = np.clip(x, lower, upper)
     r = fun(x)
     lam = 1e-3
-    for iteration in range(1, max_outer + 1):
+    for iteration in range(1, MAX_LM_STEPS + 1):
         jac = np.empty((r.size, x.size))
         for i in range(x.size):
             dx = np.zeros_like(x)
@@ -204,7 +205,7 @@ def _box_least_squares(
         x, r, lam = x_new, r_new, max(lam / 3.0, 1e-12)
         if drop < 1e-10 or moved < 1e-9:
             return x, r, iteration, True
-    return x, r, max_outer, False
+    return x, r, MAX_LM_STEPS, False
 
 
 def joint_fit(
@@ -212,7 +213,6 @@ def joint_fit(
     gamma: float,
     *,
     fit_db: bool = False,
-    max_outer: int = 500,
 ) -> FitResult:
     """Jointly fit (epsilon, eta, sigma) and the movable true angles to all spectra.
 
@@ -225,7 +225,7 @@ def joint_fit(
     sigma = 0 while the gradient in D does not. Deterministic given the data;
     the fit starts from epsilon = gamma/4, eta = 0.5, sigma = 10 degrees and
     the nominal angles. `iterations` counts Levenberg-Marquardt steps and
-    `max_outer` caps them; a capped fit returns its best point with
+    MAX_LM_STEPS caps them; a capped fit returns its best point with
     converged=False. `projected` reports epsilon, eta or D ending on a bound.
     """
     angles = data.nominal_angles
@@ -264,9 +264,7 @@ def joint_fit(
     lower = np.concatenate([[0.0, 0.0, math.exp(-2.0 * math.pi**2)],
                             np.full(len(free_angles), -np.inf)])
     upper = np.concatenate([[0.999, 1.0, 1.0], np.full(len(free_angles), np.inf)])
-    x, res, iterations, converged = _box_least_squares(
-        residual, start, lower, upper, max_outer
-    )
+    x, res, iterations, converged = _box_least_squares(residual, start, lower, upper)
     # non-convergence returns the best-so-far result flagged, never raises
     params = unpack(x)
     # report true angles folded into [0, 180) degrees

@@ -34,8 +34,9 @@ PROB_FLOOR = 1e-12
 ANDERSON_DEPTH = 4
 ANDERSON_REGULARIZATION = 1e-6
 # the certified gap costs an eigvalsh of R, so it is tested only once a step
-# gains less than this share of |log L|; testing it on every step stops on the
-# same step but made a 50-resample pipeline run 7-11 % slower (one Xeon vCPU).
+# gains less than this share of |log L|. Testing it on every step can stop on
+# another certified state (it moves a pinned bootstrap W(0,0) in its fifth
+# decimal), and made a 50-resample pipeline run 7-11 % slower (one Xeon vCPU).
 # Past that test it is skipped where a Rayleigh quotient, shrunk by
 # RAYLEIGH_MARGIN for rounding in it and in eigvalsh, already puts the gap
 # above gap_tol (see mle_reconstruct)
@@ -97,18 +98,13 @@ class ReconstructionConfig:
     @property
     def povm_block(self) -> np.ndarray:
         """The read-only `_povm_block` of this grid, eta_correction and nmax, shared."""
-        return _shared_povm_block(
-            self.bin_min, self.bin_max, self.bin_width, self.eta_correction, self.nmax
-        )
+        return _shared_povm_block(self.bin_edges.tobytes(), self.eta_correction, self.nmax)
 
 
 @lru_cache(maxsize=2)
-def _shared_povm_block(
-    bin_min: float, bin_max: float, bin_width: float, eta: float, nmax: int
-) -> np.ndarray:
-    """The read-only block of one (grid, eta, nmax); the last 2 used are kept."""
-    grid = ReconstructionConfig(nmax=nmax, bin_width=bin_width, bin_min=bin_min, bin_max=bin_max)
-    block = _povm_block(grid.bin_edges, eta, nmax)
+def _shared_povm_block(edges: bytes, eta: float, nmax: int) -> np.ndarray:
+    """The read-only block of one (edges, eta, nmax); the last 2 used are kept."""
+    block = _povm_block(np.frombuffer(edges), eta, nmax)
     block.flags.writeable = False
     return block
 
@@ -142,26 +138,17 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     starts = np.flatnonzero(np.concatenate([[True], tags[1:] != tags[:-1]]))
     angles, run_index = np.unique(tags[starts], return_inverse=True)
     angle_index = np.repeat(run_index, np.diff(starts, append=tags.size))
-    # bin 0 is below edges[0]; the last bin takes values >= edges[-1]
+    # bin b holds lower[b] <= v < upper[b]: bin 0 is below edges[0], the last
+    # bin takes values >= edges[-1]
     values = dataset.values
-    # the first guess, from the mean edge spacing, is exact on a uniform grid
-    # up to rounding; clipped to [0, edges.size] it truncates to its floor, and
-    # fmax/fmin, unlike clip, also bring the NaN of an overflowed span into range
-    with np.errstate(all="ignore"):
-        step = (edges[-1] - edges[0]) / (edges.size - 1)
-        guess = (values - edges[0]) / step + 1.0
-    bins = np.fmin(np.fmax(guess, 0.0, out=guess), edges.size, out=guess).astype(np.intp)
-    # bin b holds lower[b] <= v < upper[b]; each pass moves every misplaced
-    # sample one bin towards its own, so the result is exact on any grid
     lower = np.concatenate([[-np.inf], edges])
     upper = np.concatenate([edges, [np.inf]])
-    while True:
-        up = values >= upper.take(bins)
-        bins += up
-        down = values < lower.take(bins)
-        bins -= down
-        if not (up.any() or down.any()):
-            break
+    # the edges are a linspace, so the guess from their spacing is at most one
+    # bin off; values and span are finite, so an overflow gives +-inf, never NaN
+    with np.errstate(over="ignore"):
+        step = (edges[-1] - edges[0]) / (edges.size - 1)
+        guess = np.clip((values - edges[0]) / step + 1.0, 0, edges.size).astype(np.intp)
+    bins = guess + (values >= upper.take(guess)) - (values < lower.take(guess))
     columns = edges.size + 1
     counts = np.bincount(angle_index * columns + bins, minlength=angles.size * columns)
     counts = counts.reshape(angles.size, columns).astype(float)
@@ -209,7 +196,7 @@ def build_povm_stack(
     2004). The reconstruction iterates on the block and the phases directly;
     this full complex stack is for callers that want the elements themselves.
     """
-    block = _povm_block(edges, eta, nmax)
+    block = _shared_povm_block(np.asarray(edges, dtype=float).tobytes(), eta, nmax)
     phases = _angle_phases(angles, nmax + 1)
     return (phases[:, None] * block[None]).reshape(-1, nmax + 1, nmax + 1)
 
@@ -221,7 +208,6 @@ class ReconstructionResult:
     iterations_used: int
     converged: bool
     metrics: dict
-    diagnostics: dict
 
 
 def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) -> np.ndarray:
@@ -368,8 +354,6 @@ def mle_reconstruct(
         "gap": gap,
         "iterations": iters,
         "converged": converged,
-    }
-    diagnostics = {
         "floored_bins": floored_bins,
         "out_of_range_fraction": binned.out_of_range_fraction,
         "total_counts": int(total),
@@ -380,7 +364,6 @@ def mle_reconstruct(
         iterations_used=iters,
         converged=converged,
         metrics=metrics,
-        diagnostics=diagnostics,
     )
 
 

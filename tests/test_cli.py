@@ -32,9 +32,12 @@ from kittensim import (
     save_spectrum_csv,
     wigner_origin,
 )
+from kittensim import spectrum
 from kittensim.cli import build_parser, main
+from kittensim.temporal import load_trace_dir
 
 from test_pipeline import small_config
+from test_spectrum import make_data, make_params
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +262,27 @@ def test_reconstruct_of_a_floored_bin_exits_2(capsys, tmp_path):
     assert json.loads(out)["gap"] < 0.0
 
 
+def test_reconstruct_names_a_floored_bin(capsys, tmp_path):
+    # in-range vacuum data and one sample past bin_max: at nmax 2 no state
+    # gives the open edge bin 1e-12, so that one sample voids the certificate
+    rng = np.random.default_rng(4)
+    values = np.append(rng.normal(0.0, math.sqrt(0.5), 600), ReconstructionConfig.bin_max + 1.0)
+    angles = np.append(np.repeat([0.0, math.pi / 3, 2 * math.pi / 3], 200), 0.0)
+    samples = tmp_path / "outlier.csv"
+    save_samples_csv(QuadratureDataset(angles, values), samples)
+    rc, out, err = run_cli(
+        capsys, "reconstruct", "--samples", str(samples), "--nmax", "2",
+        "--out-rho", str(tmp_path / "recon.json"),
+    )
+    assert rc == 2
+    record = json.loads(out)
+    assert record["floored_bins"] == 1
+    assert record["converged"] is False
+    error = json.loads(err)
+    assert error["error"] == "numerics"
+    assert error["message"].startswith("1 observed bin(s) below the 1e-12 probability floor")
+
+
 def test_missing_input_exits_1(capsys, tmp_path):
     rc, _, err = run_cli(
         capsys, "reconstruct", "--samples", str(tmp_path / "nope.csv"),
@@ -328,6 +352,37 @@ def test_synth_extract_round_trip(capsys, tmp_path):
     assert len(ds.values) == 1200
 
 
+@pytest.mark.parametrize("spectrum, side", [("vx", -1.0), ("vp", 1.0)])
+def test_synth_traces_draws_the_named_quadrature_spectrum(capsys, tmp_path, spectrum, side):
+    # below gamma the x spectrum is squeezed under vacuum's 1/2 and the p
+    # spectrum lies above it (about 0.37 and 0.80 at 1-3 MHz with the defaults)
+    out_dir = tmp_path / spectrum
+    rc, _, _ = run_cli(capsys, "synth-traces", "--spectrum", spectrum, "--count", "200",
+                       "--seed", "3", "--out-dir", str(out_dir))
+    assert rc == 0
+    values, fs, _ = load_trace_dir(out_dir)
+    freqs = np.fft.rfftfreq(values.shape[1], d=1.0 / fs)
+    periodogram = np.mean(np.abs(np.fft.rfft(values, axis=1)) ** 2, axis=0) / values.shape[1]
+    low = periodogram[(freqs > 0.0) & (freqs <= 3e6)].mean()
+    assert side * (low - 0.5) > 0.1
+
+
+def test_extract_rejects_vacuum_at_another_sample_rate(capsys, tmp_path):
+    for name, rate in (("sig", "500"), ("vac", "250")):
+        rc, _, _ = run_cli(capsys, "synth-traces", "--spectrum", "flat", "--count", "4",
+                           "--sample-rate-msps", rate, "--out-dir", str(tmp_path / name))
+        assert rc == 0
+    out = tmp_path / "quads.csv"
+    rc, stdout, err = run_cli(capsys, "extract", "--traces", str(tmp_path / "sig"),
+                              "--vacuum", str(tmp_path / "vac"), "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {
+        "error": "validation", "message": "vacuum traces use a different sample rate"
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--duration-us", "nan"), ("--duration-us", "inf"),
@@ -375,6 +430,18 @@ def test_fit_spectrum_cli(capsys, tmp_path):
     assert report["sigma_deg"] == pytest.approx(19.4, abs=1e-4)
     assert report["theta_true_deg"]["30"] == pytest.approx(33.5, abs=1e-4)
     assert json.loads(report_path.read_text()) == report
+
+
+def test_fit_spectrum_at_its_step_cap_prints_the_fit_then_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(spectrum, "MAX_LM_STEPS", 1)
+    spectra = tmp_path / "spectra.csv"
+    save_spectrum_csv(make_data(make_params()), spectra)
+    rc, out, err = run_cli(capsys, "fit-spectrum", "--spectra", str(spectra))
+    assert rc == 2
+    report = json.loads(out)
+    assert report["converged"] is False
+    assert report["iterations"] == 1
+    assert json.loads(err) == {"error": "numerics", "message": "fit did not converge"}
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -459,6 +526,23 @@ def test_pipeline_and_report_cli(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "report", "--run", str(tmp_path / "run"))
     assert rc == 1
     assert json.loads(err)["error"] == "validation"
+
+
+def test_pipeline_that_stops_short_prints_its_report_and_names_the_gap(capsys, tmp_path):
+    ini = tmp_path / "exp.ini"
+    save_config(small_config(tmp_path / "run", reconstruction=ReconstructionSection(
+        nmax=8, max_iters=1, bootstrap_resamples=0)), ini)
+    rc, out, err = run_cli(capsys, "pipeline", "--config", str(ini))
+    assert rc == 2
+    metrics = json.loads(out)["metrics"]
+    assert metrics["converged"] is False
+    assert metrics["floored_bins"] == 0 and metrics["iterations"] == 1
+    error = json.loads(err)
+    assert error["error"] == "numerics"
+    assert error["message"] == (
+        f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
+        f"{ReconstructionConfig.gap_tol:g} after 1 iterations"
+    )
 
 
 def test_report_rejects_a_manifest_without_metrics(capsys, tmp_path):

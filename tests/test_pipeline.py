@@ -286,6 +286,18 @@ def test_verify_returns_the_hashed_metrics(tmp_path):
     assert verify_run_dir(out)["metrics"] == run.report.metrics
 
 
+def test_metrics_json_carries_the_reconstruction_record(tmp_path):
+    # floored bins, grid-mass loss and the counts are the primary
+    # reconstruction's own record, written as it is
+    out = tmp_path / "run"
+    run = run_pipeline(small_config(out))
+    written = json.loads((out / "metrics.json").read_text())
+    for key in ("floored_bins", "out_of_range_fraction", "total_counts"):
+        assert written[key] == run.corrected.metrics[key] == run.report.metrics[key], key
+    assert written["total_counts"] == 3 * 400
+    assert written["floored_bins"] == 0
+
+
 def test_stagewise_run_matches_pipeline(tmp_path):
     config = small_config(tmp_path / "run")
     run = run_pipeline(config)

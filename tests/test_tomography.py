@@ -144,6 +144,45 @@ def test_bin_dataset_matches_binary_search_reference(kind):
         assert binned.out_of_range_fraction == out_frac
 
 
+def bin_of_each_value(values, config):
+    """bin_dataset's bin of each value, one tag per value, in chunks of about 2**20 counts."""
+    chunk = max(1, 2**20 // (config.bin_edges.size + 1))
+    bins = []
+    for start in range(0, values.size, chunk):
+        part = values[start : start + chunk]
+        tags = np.arange(part.size, dtype=float)
+        binned = bin_dataset(QuadratureDataset(angles=tags, values=part), config)
+        bins.append(binned.counts.argmax(axis=1))
+    return np.concatenate(bins)
+
+
+def test_bin_dataset_is_exact_on_every_grid_a_config_builds():
+    # the one corrected guess equals the binary search at every edge and at
+    # both float neighbours of it, on grids spanning 1e-300 to 1e300 and up to
+    # MAX_BIN_COUNT bins, and at the largest floats
+    rng = np.random.default_rng(19)
+    checked = 0
+    while checked < 1002:
+        scale = 10.0 ** rng.uniform(-300.0, 300.0) if checked % 2 else 10.0 ** rng.uniform(-3, 3)
+        bins = MAX_BIN_COUNT if checked >= 1000 else int(rng.integers(1, 200))
+        width = float(rng.uniform(1e-3, 1.0) * scale)
+        low = float(rng.uniform(-1.5, 0.5) * bins * width)
+        try:
+            config = ReconstructionConfig(
+                nmax=1, bin_width=width, bin_min=low, bin_max=low + bins * width
+            )
+        except ValidationError:  # a span that the rounded width does not tile
+            continue
+        checked += 1
+        edges = config.bin_edges
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-np.finfo(float).max, -1e308, 1e308, np.finfo(float).max],
+        ])
+        expected = np.searchsorted(edges, values, side="right")
+        np.testing.assert_array_equal(bin_of_each_value(values, config), expected)
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.88])
 @pytest.mark.parametrize(
     "edges, nmax",
@@ -230,7 +269,7 @@ def test_round_trip_recovers_detected_state(lossy_kitten):
     assert result.converged and result.metrics["gap"] <= config.gap_tol
     assert state_fidelity(result.rho, lossy_kitten) >= 0.97
     assert result.metrics["w00"] == pytest.approx(wigner_origin(lossy_kitten), abs=0.03)
-    assert result.diagnostics["out_of_range_fraction"] < 1e-3
+    assert result.metrics["out_of_range_fraction"] < 1e-3
 
 
 def test_loss_correction_consistency(lossy_kitten):
@@ -646,6 +685,19 @@ def test_povm_block_is_kept_per_grid_eta_and_nmax(povm_block_calls):
     np.testing.assert_array_equal(rebuilt, kept[0])
 
 
+def test_povm_stack_takes_the_config_block(povm_block_calls):
+    # the stack and the kernel share one memo, keyed on the grid's own edges
+    config = ReconstructionConfig(nmax=5, eta_correction=0.9)
+    block = config.povm_block
+    angles = np.array([0.0, 0.7])
+    stack = build_povm_stack(angles, config.bin_edges, config.eta_correction, config.nmax)
+    again = build_povm_stack(angles, list(config.bin_edges), 0.9, 5)
+    assert len(povm_block_calls) == 1
+    np.testing.assert_array_equal(again, stack)
+    # at theta = 0 every phase is exactly 1, so the stack's first block is L_j
+    np.testing.assert_array_equal(stack.reshape(2, *block.shape)[0], block)
+
+
 # every sample lies far past the grid, in the open edge bin, where any state
 # at nmax = 2 has a probability below PROB_FLOOR (at most 3e-14)
 FAR_DATASET = QuadratureDataset(angles=np.zeros(500), values=np.full(500, 50.0))
@@ -655,7 +707,7 @@ def test_a_floored_bin_voids_the_certificate():
     # the floor lifts tr(rho R) above 1, so N (lambda_max(R) - 1) goes
     # negative and bounds nothing
     result = mle_reconstruct(FAR_DATASET, ReconstructionConfig(nmax=2))
-    assert result.diagnostics["floored_bins"] == 1
+    assert result.metrics["floored_bins"] == 1
     assert result.metrics["gap"] < 0.0
     assert result.converged is False
     assert result.metrics["converged"] is False
