@@ -50,7 +50,7 @@ from .temporal import (
     synthesize_gaussian_traces,
     TimeTrace,
 )
-from .tomography import PROB_FLOOR, ReconstructionConfig, bootstrap_metric, mle_reconstruct
+from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct, uncertified_reason
 from .util import atomic_write_text, write_csv
 
 _GAMMA_MHZ = 8.0  # default OPO decay rate gamma / 2 pi, in MHz
@@ -84,21 +84,6 @@ def _reconstruction_config(args) -> ReconstructionConfig:
     """The reconstruct/bootstrap flags as a config."""
     flags = {name: getattr(args, name) for name in _RECONSTRUCTION_FLAGS}
     return ReconstructionSection(**flags).to_config(args.eta)
-
-
-def _require_certified(metrics: dict, gap_tol: float) -> None:
-    """Raise NumericsError saying why a reconstruction's record is not converged."""
-    if metrics["converged"]:
-        return
-    if metrics["floored_bins"]:
-        raise NumericsError(
-            f"{metrics['floored_bins']} observed bin(s) below the {PROB_FLOOR:g} probability "
-            "floor: the gap bounds nothing, so the reconstruction is not certified"
-        )
-    raise NumericsError(
-        f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
-        f"{gap_tol:g} after {metrics['iterations']} iterations"
-    )
 
 
 def _rad_per_s(mhz: float) -> float:
@@ -159,10 +144,9 @@ def _cmd_synth_traces(args) -> None:
     epsilon = _rad_per_s(args.epsilon_mhz)
     if args.spectrum == "flat":
         spectrum = lambda f: np.full_like(np.asarray(f, dtype=float), args.snu)
-    elif args.spectrum == "vx":
-        spectrum = lambda f: spectral_variances(f, gamma, epsilon, args.eta)[0]
-    else:  # vp
-        spectrum = lambda f: spectral_variances(f, gamma, epsilon, args.eta)[1]
+    else:
+        quadrature = ("vx", "vp").index(args.spectrum)
+        spectrum = lambda f: spectral_variances(f, gamma, epsilon, args.eta)[quadrature]
     fs = args.sample_rate_msps * 1e6
     traces = synthesize_gaussian_traces(
         spectrum, duration=args.duration_us * 1e-6, sample_rate=fs, count=args.count,
@@ -190,7 +174,7 @@ def _cmd_extract(args) -> None:
     scale_info = None
     if args.vacuum is not None:
         vac_values, vac_fs, _ = load_trace_dir(args.vacuum)
-        if abs(vac_fs - fs) > 1e-6:
+        if not math.isclose(vac_fs, fs, rel_tol=1e-9):
             raise ValidationError("vacuum traces use a different sample rate")
         scale, scale_err = shot_noise_scale(vac_values, mode)
         quads = quads / scale
@@ -216,7 +200,8 @@ def _cmd_reconstruct(args) -> None:
     result = mle_reconstruct(ds, config)
     save_density_matrix(result.rho, args.out_rho)
     _emit({**result.metrics, "out_rho": str(args.out_rho)}, args.out_metrics)
-    _require_certified(result.metrics, config.gap_tol)
+    if reason := uncertified_reason(result.metrics, config.gap_tol):
+        raise NumericsError(reason)
 
 
 def _cmd_wigner_grid(args) -> None:
@@ -267,7 +252,8 @@ def _cmd_pipeline(args) -> None:
         config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
     _emit(run.report.to_json())
-    _require_certified(run.report.metrics, config.reconstruction.gap_tol)
+    if reason := uncertified_reason(run.report.metrics, config.reconstruction.gap_tol):
+        raise NumericsError(reason)
 
 
 def _cmd_report(args) -> None:

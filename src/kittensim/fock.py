@@ -388,13 +388,7 @@ def state_fidelity(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
     Dimensions may differ; the smaller matrix is zero-padded.
     """
     d = max(rho.dim, sigma.dim)
-
-    def padded(state: FockDensityMatrix) -> np.ndarray:
-        out = np.zeros((d, d), dtype=complex)
-        out[: state.dim, : state.dim] = state.entries
-        return out
-
-    a, b = padded(rho), padded(sigma)
+    a, b = (np.pad(state.entries, (0, d - state.dim)) for state in (rho, sigma))
     evals, evecs = np.linalg.eigh(a)
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
     mid = root @ b @ root

@@ -372,6 +372,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
         "w00_corrected": None if corrected is None else corrected.metrics["w00"],
         "w00_std": None if boot is None else boot.std,
         "bootstrap_failures": None if boot is None else boot.failures,
+        "bootstrap_failure_causes": None if boot is None else boot.failure_causes,
         "var_db": {
             k: db_from_variance(v) for k, v in primary.metrics["var_deg"].items()
         },

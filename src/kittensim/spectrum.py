@@ -268,22 +268,16 @@ def joint_fit(
     # non-convergence returns the best-so-far result flagged, never raises
     params = unpack(x)
     # report true angles folded into [0, 180) degrees
-    folded = {a: math.fmod(t, math.pi) + (math.pi if math.fmod(t, math.pi) < 0 else 0)
-              for a, t in params.theta_true.items()}
+    folded = {a: t % math.pi for a, t in params.theta_true.items()}
     params = replace(params, theta_true=folded)
-
-    per_angle = {}
-    nf = data.freq.size
-    for i, a in enumerate(angles):
-        seg = res[i * nf : (i + 1) * nf]
-        per_angle[a] = float(np.sqrt(np.mean(seg**2)))
+    rms = np.sqrt(np.mean(res.reshape(len(angles), -1) ** 2, axis=1))
     return FitResult(
         params=params,
         cost=float(res @ res),
         iterations=iterations,
         converged=converged,
         projected=bool(np.any((x == lower) | (x == upper))),
-        per_angle_rms=per_angle,
+        per_angle_rms=dict(zip(angles, rms.tolist())),
     )
 
 

@@ -137,13 +137,9 @@ def build_mode(
 
 def extract_quadrature(trace: TimeTrace, mode: ModeFunction) -> float:
     """Project a single trace onto the mode: q = sum_i w_i v_i."""
-    if trace.values.shape != mode.weights.shape:
-        raise ValidationError(
-            f"trace length {trace.values.shape} does not match mode length {mode.weights.shape}"
-        )
     if not math.isclose(trace.sample_rate, mode.sample_rate, rel_tol=1e-9):
         raise ValidationError("trace and mode sample rates differ")
-    return float(mode.weights @ trace.values)
+    return float(extract_ensemble(trace.values[None], mode)[0])
 
 
 def extract_ensemble(values: np.ndarray, mode: ModeFunction) -> np.ndarray:
@@ -236,6 +232,18 @@ def principal_mode(signal_values: np.ndarray, vacuum_values: np.ndarray) -> np.n
 # Stationary Gaussian trace synthesis
 # ---------------------------------------------------------------------------
 
+def _spectrum_on_grid(spectrum, freqs: np.ndarray) -> np.ndarray:
+    """The callable `spectrum` on `freqs`: one finite, non-negative value per frequency."""
+    v = np.asarray(spectrum(freqs), dtype=float)
+    if v.shape != freqs.shape:
+        raise ValidationError(
+            f"spectrum returned shape {v.shape}, not the rfft grid's {freqs.shape}"
+        )
+    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        raise ValidationError("spectrum must be finite and non-negative")
+    return v
+
+
 def synthesize_gaussian_traces(
     spectrum,
     duration: float,
@@ -261,15 +269,7 @@ def synthesize_gaussian_traces(
     n = int(round(duration * sample_rate))
     if n < 8:
         raise ValidationError("trace shorter than 8 samples")
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    v = np.asarray(spectrum(freqs), dtype=float)
-    if v.shape != freqs.shape:
-        raise ValidationError(
-            f"spectrum returned shape {v.shape}, not the rfft grid's {freqs.shape}"
-        )
-    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise ValidationError("spectrum must be finite and non-negative")
-
+    v = _spectrum_on_grid(spectrum, np.fft.rfftfreq(n, d=1.0 / sample_rate))
     rng = np.random.default_rng(seed)
     amp = np.sqrt(n * v)
     half = amp / math.sqrt(2.0)
@@ -278,8 +278,8 @@ def synthesize_gaussian_traces(
     for start in range(0, count, _DRAW_ROWS):
         rows = min(_DRAW_ROWS, count - start)
         # all real parts of the block, then all imaginary parts: this fixes the stream
-        re = rng.standard_normal((rows, freqs.size))
-        im = rng.standard_normal((rows, freqs.size))
+        re = rng.standard_normal((rows, v.size))
+        im = rng.standard_normal((rows, v.size))
         for sub in range(0, rows, _FFT_ROWS):
             part = slice(sub, sub + _FFT_ROWS)
             z = (re[part] + 1j * im[part]) * half
@@ -313,10 +313,7 @@ def mode_variance_from_spectrum(mode: ModeFunction, spectrum) -> float:
     n_pad = 8 * w.size
     spec_w = np.abs(np.fft.rfft(w, n=n_pad)) ** 2
     freqs = np.fft.rfftfreq(n_pad, d=1.0 / mode.sample_rate)
-    v = np.asarray(spectrum(freqs), dtype=float)
-    if v.shape != freqs.shape:
-        raise ValidationError("spectrum grid mismatch in mode_variance_from_spectrum")
-    integrand = v * spec_w
+    integrand = _spectrum_on_grid(spectrum, freqs) * spec_w
     return float(
         (2.0 / mode.sample_rate) * np.trapezoid(integrand, dx=freqs[1] - freqs[0])
     )

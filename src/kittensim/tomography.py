@@ -367,6 +367,21 @@ def mle_reconstruct(
     )
 
 
+def uncertified_reason(metrics: dict, gap_tol: float) -> str | None:
+    """Why a reconstruction's metrics record is not converged, or None when it is."""
+    if metrics["converged"]:
+        return None
+    if metrics["floored_bins"]:
+        return (
+            f"{metrics['floored_bins']} observed bin(s) below the {PROB_FLOOR:g} probability "
+            "floor: the gap bounds nothing, so the reconstruction is not certified"
+        )
+    return (
+        f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
+        f"{gap_tol:g} after {metrics['iterations']} iterations"
+    )
+
+
 def reconstruct_with_angles(
     dataset: QuadratureDataset,
     config: ReconstructionConfig,
@@ -392,6 +407,7 @@ class BootstrapResult:
     std: float
     n_resamples: int
     failures: int
+    failure_causes: list[str]  # one per failed resample, in resample order
     valid: bool
 
 
@@ -409,6 +425,8 @@ def bootstrap_metric(
     eta_correction < 1), re-runs the same reconstruction, and records W(0,0).
     With config.angle_overrides the samples are drawn at the override (true)
     angles and tagged with the nominal ones, as the measured data were.
+    A resample fails when its reconstruction raises ("Type: message") or is
+    not converged (the `uncertified_reason`); each failure keeps its cause.
     Result is flagged invalid when more than 10% of resamples fail.
     """
     if n_resamples < 2:
@@ -424,27 +442,32 @@ def bootstrap_metric(
     counts = [per_angle_counts[th] for th in angles]
     # every resample draws from the same marginals: one set of CDFs
     cdfs = homodyne_cdfs(detected, _resolve_angles(np.asarray(angles), config.angle_overrides))
-    values = []
+    values, causes = [], []
     for resample in np.random.SeedSequence(seed).spawn(n_resamples):
         # one plain integer sampler seed per angle, derived from the resample's sequence
         seeds = [int(s.generate_state(1)[0]) for s in resample.spawn(len(angles))]
         dataset = draw_homodyne(cdfs, counts, seeds, angles)
         try:
             result = mle_reconstruct(dataset, config)
-        except KittenError:
+        except KittenError as exc:
+            causes.append(f"{type(exc).__name__}: {exc}")
             continue
-        if result.converged:
+        if reason := uncertified_reason(result.metrics, config.gap_tol):
+            causes.append(reason)
+        else:
             values.append(result.metrics["w00"])
     values = np.asarray(values)
-    failures = n_resamples - values.size
     if values.size < 2:
-        raise NumericsError("bootstrap produced fewer than 2 successful resamples")
+        raise NumericsError(
+            f"bootstrap produced fewer than 2 successful resamples; the first failure: {causes[0]}"
+        )
     return BootstrapResult(
         metric="w00",
         values=values,
         mean=float(values.mean()),
         std=float(values.std(ddof=1)),
         n_resamples=n_resamples,
-        failures=failures,
-        valid=failures <= 0.1 * n_resamples,
+        failures=len(causes),
+        failure_causes=causes,
+        valid=len(causes) <= 0.1 * n_resamples,
     )

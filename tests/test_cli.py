@@ -368,7 +368,7 @@ def test_synth_traces_draws_the_named_quadrature_spectrum(capsys, tmp_path, spec
 
 
 def test_extract_rejects_vacuum_at_another_sample_rate(capsys, tmp_path):
-    for name, rate in (("sig", "500"), ("vac", "250")):
+    for name, rate in (("sig", "500"), ("vac", "250"), ("near", "500.0000000005")):
         rc, _, _ = run_cli(capsys, "synth-traces", "--spectrum", "flat", "--count", "4",
                            "--sample-rate-msps", rate, "--out-dir", str(tmp_path / name))
         assert rc == 0
@@ -379,6 +379,17 @@ def test_extract_rejects_vacuum_at_another_sample_rate(capsys, tmp_path):
     assert stdout == ""
     assert json.loads(err) == {
         "error": "validation", "message": "vacuum traces use a different sample rate"
+    }
+    assert not out.exists()
+    # a rate within the loader's 1e-9 relative tolerance passes the rate check
+    # and reaches the shot-noise calibration, which needs 1000 vacuum traces
+    assert load_trace_dir(tmp_path / "near")[1] == 500.0000000005e6
+    rc, stdout, err = run_cli(capsys, "extract", "--traces", str(tmp_path / "sig"),
+                              "--vacuum", str(tmp_path / "near"), "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {
+        "error": "validation", "message": "need >= 1000 vacuum traces, got 4"
     }
     assert not out.exists()
 
@@ -499,7 +510,9 @@ def test_bootstrap_cli_prints_the_result_record(capsys, tmp_path):
     record = asdict(boot)
     del record["values"]
     assert json.loads(out) == record
-    assert set(record) == {"metric", "mean", "std", "n_resamples", "failures", "valid"}
+    assert set(record) == {
+        "metric", "mean", "std", "n_resamples", "failures", "failure_causes", "valid"
+    }
     assert out_path.read_text() == out.rstrip("\n")
 
 

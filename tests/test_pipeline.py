@@ -396,3 +396,18 @@ def test_report_times_exactly_the_stages_that_ran(tmp_path, resamples):
     stages = {"prepare_state", "link_channel", "sample", "reconstruct", "cat_fit", "write_artifacts"}
     assert set(timings) == (stages | {"bootstrap"} if resamples else stages)
     assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
+
+
+@pytest.mark.parametrize("resamples, causes", [(0, None), (3, [])])
+def test_metrics_json_lists_the_bootstrap_failure_causes(tmp_path, resamples, causes):
+    config = small_config(
+        tmp_path / "run",
+        sampling=SamplingSection(angles_deg=(0.0, 60.0, 120.0), per_angle_count=300, seed=2),
+        reconstruction=ReconstructionSection(
+            nmax=6, max_iters=1500, bootstrap_resamples=resamples
+        ),
+    )
+    run_pipeline(config)
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert metrics["bootstrap_failure_causes"] == causes
+    assert metrics["bootstrap_failures"] == (None if causes is None else len(causes))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,3 +301,30 @@ def test_load_spectrum_rejects_bad_header(tmp_path):
     path.write_text("freq,angle,var\n1.0,0.0,0.5\n")
     with pytest.raises(ValidationError):
         load_spectrum_csv(path)
+
+
+def test_load_spectrum_rejects_a_file_without_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("freq_hz,angle_deg,variance_snu\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: no spectrum rows")):
+        load_spectrum_csv(path)
+
+
+def test_load_spectrum_rejects_an_angle_on_another_grid(tmp_path):
+    path = tmp_path / "spectra.csv"
+    rows = [(f, 0.0) for f in (1.0, 2.0, 3.0)] + [(f, 90.0) for f in (1.0, 2.0, 4.0)]
+    path.write_text("freq_hz,angle_deg,variance_snu\n"
+                    + "".join(f"{f},{deg},0.5\n" for f, deg in rows))
+    message = f"{path}: angle 90.0 uses a different frequency grid"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_spectrum_csv(path)
+
+
+@pytest.mark.parametrize("clearance_freq", [FREQ[:-1], 2.0 * FREQ])
+def test_load_spectrum_rejects_a_clearance_on_another_grid(tmp_path, clearance_freq):
+    spec_path, clear_path = tmp_path / "spectra.csv", tmp_path / "clearance.csv"
+    save_spectrum_csv(make_data(make_params()), spec_path)
+    save_clearance_csv(clearance_freq, np.ones_like(clearance_freq), clear_path)
+    with pytest.raises(ValidationError,
+                       match="clearance grid does not match the spectrum grid"):
+        load_spectrum_csv(spec_path, clearance_path=clear_path)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,3 +210,70 @@ def test_trace_csv_rejects_malformed_files(tmp_path):
     path.write_text("# sample_rate_hz=500000000.0\n# trigger_index=1.5\nvalue\n0.25\n-1.0\n")
     with pytest.raises(ValidationError, match="trigger_index"):
         load_trace_csv(path)
+
+
+@pytest.mark.parametrize("values, sample_rate, trigger_index, message", [
+    (np.zeros((2, 4)), FS, 0, "trace values must be a non-empty 1-D array"),
+    (np.zeros(0), FS, 0, "trace values must be a non-empty 1-D array"),
+    (np.zeros(4), 0.0, 0, "sample_rate must be positive"),
+    (np.zeros(4), FS, 4, "trigger_index outside the trace"),
+    (np.zeros(4), FS, -1, "trigger_index outside the trace"),
+])
+def test_time_trace_rejects_bad_inputs(values, sample_rate, trigger_index, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TimeTrace(sample_rate, values, trigger_index)
+
+
+@pytest.mark.parametrize("t0, sample_rate, window, message", [
+    (0.5e-6, FS, (1.0e-6, 0.0), "window must satisfy t_end > t_start"),
+    (0.5e-6, -FS, (0.0, 1.0e-6), "sample_rate must be positive"),
+    (1.5e-6, FS, (0.0, 1.0e-6), "t0 must lie inside the window"),
+    (5e-9, FS, (0.0, 10e-9), "window shorter than 8 samples"),
+])
+def test_build_mode_rejects_bad_inputs(t0, sample_rate, window, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build_mode(GAMMA, KAPPA, t0, sample_rate, window)
+
+
+@pytest.mark.parametrize("spectrum, duration, count, message", [
+    (flat_half, 1.0e-6, 0, "count must be >= 1"),
+    (flat_half, 10e-9, 4, "trace shorter than 8 samples"),
+    (lambda f: np.full(3, 0.5), 1.0e-6, 4,
+     "spectrum returned shape (3,), not the rfft grid's (251,)"),
+    (lambda f: np.full_like(f, np.nan), 1.0e-6, 4, "spectrum must be finite and non-negative"),
+    (lambda f: np.full_like(f, -0.5), 1.0e-6, 4, "spectrum must be finite and non-negative"),
+])
+def test_synthesis_rejects_bad_inputs(spectrum, duration, count, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        synthesize_gaussian_traces(spectrum, duration, FS, count, seed=1)
+
+
+def test_periodogram_rejects_a_single_trace():
+    with pytest.raises(ValidationError, match="periodogram expects a 2-D ensemble"):
+        periodogram(np.zeros(8), FS)
+
+
+@pytest.mark.parametrize("spectrum, message", [
+    (lambda f: np.full(3, 0.5), "spectrum returned shape (3,), not the rfft grid's (2001,)"),
+    (lambda f: np.full_like(f, np.nan), "spectrum must be finite and non-negative"),
+    (lambda f: np.full_like(f, -0.5), "spectrum must be finite and non-negative"),
+])
+def test_mode_variance_checks_its_spectrum_as_synthesis_does(spectrum, message):
+    # the 500-tap mode is zero-padded to 4000 points: 2001 rfft frequencies
+    mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        mode_variance_from_spectrum(mode, spectrum)
+
+
+def test_load_trace_dir_rejects_an_empty_directory(tmp_path):
+    with pytest.raises(ValidationError, match=re.escape(f"no trace files found in {tmp_path}")):
+        load_trace_dir(tmp_path)
+
+
+@pytest.mark.parametrize("other", [TimeTrace(FS, np.zeros(32)), TimeTrace(FS / 2, np.zeros(64))])
+def test_load_trace_dir_rejects_a_trace_on_another_grid(tmp_path, other):
+    save_trace_csv(TimeTrace(FS, np.zeros(64)), tmp_path / "trace_00000.csv")
+    save_trace_csv(other, tmp_path / "trace_00001.csv")
+    message = f"{tmp_path / 'trace_00001.csv'}: trace grid differs from the rest of the ensemble"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_trace_dir(tmp_path)

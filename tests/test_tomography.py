@@ -24,6 +24,7 @@ from kittensim import (
     loss_channel,
     mle_reconstruct,
     reconstruct_with_angles,
+    sample_homodyne,
     sample_quadratures,
     simulate_source_state,
     state_fidelity,
@@ -754,6 +755,53 @@ def test_a_failed_resample_is_counted_and_shifts_no_other(
     np.testing.assert_array_equal(boot.values, np.delete(clean.values, 1))
     # more than 10 % of the resamples failed at 5, not at 10
     assert boot.valid is valid
+
+
+@pytest.mark.parametrize("fault, cause", [
+    (_raise_on_second_reconstruction, "NumericsError: injected failure"),
+    (_floor_second_draw, "1 observed bin(s) below the 1e-12 probability floor: the gap "
+                         "bounds nothing, so the reconstruction is not certified"),
+])
+def test_a_failed_resample_keeps_its_cause(lossy_kitten, monkeypatch, fault, cause):
+    kwargs = dict(
+        config=ReconstructionConfig(nmax=2, eta_correction=HD_ETA),
+        per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
+        n_resamples=5,
+        seed=5,
+    )
+    assert bootstrap_metric(lossy_kitten, **kwargs).failure_causes == []
+    fault(monkeypatch)
+    boot = bootstrap_metric(lossy_kitten, **kwargs)
+    assert boot.failure_causes == [cause]
+    assert boot.failures == 1
+
+
+def test_a_bootstrap_without_two_successes_names_its_first_failure(lossy_kitten):
+    with pytest.raises(NumericsError, match=(
+        r"fewer than 2 successful resamples; the first failure: reconstruction did not "
+        r"converge: gap \S+ above gap_tol 0.01 after 1 iterations$"
+    )):
+        bootstrap_metric(
+            lossy_kitten,
+            ReconstructionConfig(nmax=6, max_iters=1),
+            per_angle_counts={0.0: 500, math.pi / 2: 500},
+            n_resamples=3,
+            seed=4,
+        )
+
+
+@pytest.mark.parametrize("nmax, converged", [(7, False), (8, True)])
+def test_one_outlier_on_the_default_grid_needs_nmax_8_here(nmax, converged):
+    # vacuum at three angles plus one sample at x = 7, reconstructed with
+    # eta = 0.88: at nmax 7 the loop stops with the outlier's bin floored
+    vacuum = FockDensityMatrix(nmax=0, entries=np.ones((1, 1)))
+    data = sample_homodyne(vacuum, np.radians([0.0, 60.0, 120.0]), 10_000, [1, 2, 3])
+    data = QuadratureDataset(
+        angles=np.append(data.angles, 0.0), values=np.append(data.values, 7.0)
+    )
+    result = mle_reconstruct(data, ReconstructionConfig(nmax=nmax, eta_correction=0.88))
+    assert result.metrics["floored_bins"] == (0 if converged else 1)
+    assert result.converged is converged
 
 
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
