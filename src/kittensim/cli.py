@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import KittenError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 from .fock import load_density_matrix, save_density_matrix, wigner, wigner_origin
 from .pipeline import (
     ChannelSection,
@@ -372,9 +372,6 @@ def main(argv=None) -> int:
         return 1
     except NumericsError as exc:
         print(json.dumps({"error": "numerics", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except KittenError as exc:  # pragma: no cover - base class fallback
-        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
         return 2
 
 

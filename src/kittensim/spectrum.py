@@ -114,18 +114,18 @@ class SpectrumData:
 
     def __post_init__(self) -> None:
         freq = np.asarray(self.freq, dtype=float)
-        if freq.ndim != 1 or freq.size < 2 or np.any(np.diff(freq) <= 0.0):
+        if freq.ndim != 1 or freq.size < 2 or not np.all(np.diff(freq) > 0.0):  # NaN fails too
             raise ValidationError("frequency grid must be 1-D and strictly increasing")
         var = {float(k): np.asarray(v, dtype=float) for k, v in self.variances.items()}
         for k, v in var.items():
             if v.shape != freq.shape:
                 raise ValidationError(f"variance curve at {k} does not match the grid")
-            if np.any(v <= 0.0):
-                raise ValidationError("variances must be positive")
+            if not np.all((v > 0.0) & (v < math.inf)):
+                raise ValidationError(f"variances must be finite and positive (curve at {k})")
         clearance = (
             np.ones_like(freq) if self.clearance is None else np.asarray(self.clearance, float)
         )
-        if clearance.shape != freq.shape or np.any(clearance < 0.0) or np.any(clearance > 1.0):
+        if clearance.shape != freq.shape or not np.all((clearance >= 0.0) & (clearance <= 1.0)):
             raise ValidationError("clearance must lie in [0, 1] on the frequency grid")
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "variances", var)

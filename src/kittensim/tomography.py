@@ -28,7 +28,9 @@ from .quadrature import (
 )
 from .util import match_angle
 
-PROB_FLOOR = 1e-12
+# only guards against a zero or rounding-negative p (a nonzero POVM element's top eigenvalue
+# is above 1e-60 for nmax <= 40): weights <= 1 / PROB_FLOOR keep |R A|_F^2 finite to dim 1e4
+PROB_FLOOR = 1e-150
 # Anderson mixing of the R rho R step on the amplitude: the (A, G(A) - A) pairs
 # kept, and the Tikhonov term of the normal equations relative to their trace
 ANDERSON_DEPTH = 4
@@ -256,9 +258,8 @@ def mle_reconstruct(
     dropped. The iteration stops once N (lambda_max(R) - 1), which bounds
     ll* - ll(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012), is at most
     config.gap_tol (converged=False after max_iters); that gap is reported.
-    The bound needs tr(rho R) = 1, which fails once an observed bin's
-    probability is raised to PROB_FLOOR: the gap of a state with such a bin
-    bounds nothing, and that state is never converged.
+    The bound needs tr(rho R) = 1, which fails for an observed bin of zero POVM
+    element (past the wavefunction cutoff): a state with such a bin is never converged.
     The gap takes an eigvalsh of R, run on the last step and on steps that
     gain less than GAP_CHECK_GAIN of |log L|, except where the Rayleigh
     quotient v^dag R v at v, the top eigenvector of the last R whose gap was
@@ -280,6 +281,8 @@ def mle_reconstruct(
     packed = config.povm_block[occupied].reshape(-1, d * d)[:, lower]
     doubled = packed * np.where(rows == cols, 1.0, 2.0)
     packed_phases = _angle_phases(povm_angles, d).reshape(-1, d * d)[:, lower]
+    if (zero := ~packed.any(axis=1)).all():  # bins past the wavefunction cutoff; R would be 0
+        raise NumericsError("every observed bin has zero model probability at this nmax")
     active = np.flatnonzero(counts)
     active_counts = counts.ravel()[active]
 
@@ -340,7 +343,7 @@ def mle_reconstruct(
         mix = step - weights @ np.array(step_diffs)
         mix /= math.sqrt(np.vdot(mix, mix).real)
         amp, fallback = mix.reshape(d, d), amp
-    floored_bins = int(np.count_nonzero(active_probs < PROB_FLOOR))
+    floored_bins = int(np.count_nonzero(counts[:, zero]))
 
     state = FockDensityMatrix(nmax=config.nmax, entries=0.5 * (rho + rho.conj().T))
     converged = gap <= config.gap_tol and floored_bins == 0
@@ -373,8 +376,8 @@ def uncertified_reason(metrics: dict, gap_tol: float) -> str | None:
         return None
     if metrics["floored_bins"]:
         return (
-            f"{metrics['floored_bins']} observed bin(s) below the {PROB_FLOOR:g} probability "
-            "floor: the gap bounds nothing, so the reconstruction is not certified"
+            f"{metrics['floored_bins']} observed bin(s) of zero model probability: no state "
+            "in the Fock space explains them, so the reconstruction is not certified"
         )
     return (
         f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "

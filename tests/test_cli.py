@@ -247,40 +247,64 @@ def test_reconstruct_nonconvergence_exits_2(capsys, tmp_path):
     assert out_rho.exists()  # best-so-far state is still written
 
 
-def test_reconstruct_of_a_floored_bin_exits_2(capsys, tmp_path):
-    # all samples far past the grid: the edge bin is floored, so the negative
-    # gap certifies nothing
-    samples = tmp_path / "far.csv"
-    save_samples_csv(QuadratureDataset(np.zeros(500), np.full(500, 50.0)), samples)
-    rc, out, err = run_cli(
+def outlier_samples(tmp_path, x):
+    """In-range vacuum data at three angles and one sample at x, as a samples file."""
+    rng = np.random.default_rng(4)
+    values = np.append(rng.normal(0.0, math.sqrt(0.5), 600), x)
+    angles = np.append(np.repeat([0.0, math.pi / 3, 2 * math.pi / 3], 200), 0.0)
+    samples = tmp_path / "outlier.csv"
+    save_samples_csv(QuadratureDataset(angles, values), samples)
+    return samples
+
+
+@pytest.mark.parametrize("far", [False, True])
+def test_reconstruct_certifies_samples_past_bin_max(capsys, tmp_path, far):
+    # the open edge bin's element is nonzero (top eigenvalue 2.9e-14 at nmax 2),
+    # so the exact likelihood certifies one sample past bin_max, or 500 far past it
+    if far:
+        samples = tmp_path / "far.csv"
+        save_samples_csv(QuadratureDataset(np.zeros(500), np.full(500, 50.0)), samples)
+    else:
+        samples = outlier_samples(tmp_path, ReconstructionConfig.bin_max + 1.0)
+    rc, out, _ = run_cli(
         capsys, "reconstruct", "--samples", str(samples), "--nmax", "2",
         "--out-rho", str(tmp_path / "recon.json"),
+    )
+    assert rc == 0
+    record = json.loads(out)
+    assert record["converged"] is True and record["floored_bins"] == 0
+    assert record["out_of_range_fraction"] == (1.0 if far else 1 / 601)
+
+
+# on a grid out to +-12 at nmax 2, a sample at 11 lies past the wavefunction
+# cutoff (10.24), in a bin whose POVM element is zero
+PAST_CUTOFF_FLAGS = ("--nmax", "2", "--bin-min", "-12", "--bin-max", "12")
+
+
+def test_reconstruct_of_a_floored_bin_exits_2(capsys, tmp_path):
+    # the negative gap would certify the state; the floored bin refuses it
+    out_rho = tmp_path / "recon.json"
+    rc, out, err = run_cli(
+        capsys, "reconstruct", "--samples", str(outlier_samples(tmp_path, 11.0)),
+        *PAST_CUTOFF_FLAGS, "--out-rho", str(out_rho),
     )
     assert rc == 2
     assert json.loads(err)["error"] == "numerics"
     assert json.loads(out)["converged"] is False
     assert json.loads(out)["gap"] < 0.0
+    assert out_rho.exists()
 
 
 def test_reconstruct_names_a_floored_bin(capsys, tmp_path):
-    # in-range vacuum data and one sample past bin_max: at nmax 2 no state
-    # gives the open edge bin 1e-12, so that one sample voids the certificate
-    rng = np.random.default_rng(4)
-    values = np.append(rng.normal(0.0, math.sqrt(0.5), 600), ReconstructionConfig.bin_max + 1.0)
-    angles = np.append(np.repeat([0.0, math.pi / 3, 2 * math.pi / 3], 200), 0.0)
-    samples = tmp_path / "outlier.csv"
-    save_samples_csv(QuadratureDataset(angles, values), samples)
     rc, out, err = run_cli(
-        capsys, "reconstruct", "--samples", str(samples), "--nmax", "2",
-        "--out-rho", str(tmp_path / "recon.json"),
+        capsys, "reconstruct", "--samples", str(outlier_samples(tmp_path, 11.0)),
+        *PAST_CUTOFF_FLAGS, "--out-rho", str(tmp_path / "recon.json"),
     )
     assert rc == 2
-    record = json.loads(out)
-    assert record["floored_bins"] == 1
-    assert record["converged"] is False
+    assert json.loads(out)["floored_bins"] == 1
     error = json.loads(err)
     assert error["error"] == "numerics"
-    assert error["message"].startswith("1 observed bin(s) below the 1e-12 probability floor")
+    assert error["message"].startswith("1 observed bin(s) of zero model probability")
 
 
 def test_missing_input_exits_1(capsys, tmp_path):

@@ -127,6 +127,24 @@ def test_model_spectrum_zero_clearance_is_shot_noise():
     np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
 
+@pytest.mark.parametrize("name, bad, message", [
+    ("freq", math.nan, "frequency grid must be 1-D and strictly increasing"),
+    ("variances", math.nan, "variances must be finite and positive"),
+    ("variances", math.inf, "variances must be finite and positive"),
+    ("clearance", math.nan, "clearance must lie in"),
+])
+def test_spectrum_data_names_the_field_of_a_non_finite_value(name, bad, message):
+    # NaN compares False with everything, so each check must be one NaN fails;
+    # past them, joint_fit would fail on epsilon, which the caller never set
+    data = make_data(make_params())
+    fields = dict(freq=data.freq.copy(), clearance=data.clearance.copy(),
+                  variances={a: v.copy() for a, v in data.variances.items()})
+    target = fields["variances"][NOMINAL[1]] if name == "variances" else fields[name]
+    target[-1] = bad
+    with pytest.raises(ValidationError, match=message):
+        SpectrumData(**fields)
+
+
 def test_params_reject_moving_fixed_angles():
     with pytest.raises(ValidationError):
         SpectrumModelParams(

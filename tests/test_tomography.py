@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -699,19 +700,53 @@ def test_povm_stack_takes_the_config_block(povm_block_calls):
     np.testing.assert_array_equal(stack.reshape(2, *block.shape)[0], block)
 
 
-# every sample lies far past the grid, in the open edge bin, where any state
-# at nmax = 2 has a probability below PROB_FLOOR (at most 3e-14)
+# every sample lies far past the grid, in the open edge bin [6, 10.24] (the
+# wavefunctions are cut off at 10.24 at nmax = 2), whose POVM element is nonzero
 FAR_DATASET = QuadratureDataset(angles=np.zeros(500), values=np.full(500, 50.0))
+# on a grid out to +-12 the bins past that cutoff have zero POVM elements at
+# nmax = 2: no state gives a sample there any probability
+PAST_CUTOFF_GRID = dict(nmax=2, bin_min=-12.0, bin_max=12.0)
+
+
+def vacuum_with_outlier(per_angle, x):
+    """Vacuum samples at 0, 60 and 120 degrees (seeds 1, 2, 3), plus one at x at 0 degrees."""
+    vacuum = FockDensityMatrix(nmax=0, entries=np.ones((1, 1)))
+    data = sample_homodyne(vacuum, np.radians([0.0, 60.0, 120.0]), per_angle, [1, 2, 3])
+    return QuadratureDataset(angles=np.append(data.angles, 0.0), values=np.append(data.values, x))
+
+
+def test_far_data_certify_with_all_mass_out_of_range():
+    # the exact likelihood puts the population where the edge bin's element
+    # is largest; only out_of_range_fraction says that the grid missed the data
+    config = ReconstructionConfig(nmax=2)
+    result = mle_reconstruct(FAR_DATASET, config)
+    assert result.converged is True
+    assert result.metrics["gap"] <= config.gap_tol
+    assert result.metrics["floored_bins"] == 0
+    assert result.metrics["out_of_range_fraction"] == 1.0
+    assert result.rho.entries[2, 2].real > 0.9
 
 
 def test_a_floored_bin_voids_the_certificate():
-    # the floor lifts tr(rho R) above 1, so N (lambda_max(R) - 1) goes
-    # negative and bounds nothing
-    result = mle_reconstruct(FAR_DATASET, ReconstructionConfig(nmax=2))
+    # R has no weight on the outlier's zero element, so tr(rho R) < 1 and
+    # N (lambda_max(R) - 1) goes negative: only the floored count refuses it
+    config = ReconstructionConfig(**PAST_CUTOFF_GRID)
+    result = mle_reconstruct(vacuum_with_outlier(200, 11.0), config)
     assert result.metrics["floored_bins"] == 1
     assert result.metrics["gap"] < 0.0
     assert result.converged is False
     assert result.metrics["converged"] is False
+    assert tomography.uncertified_reason(result.metrics, config.gap_tol) == (
+        "1 observed bin(s) of zero model probability: no state in the Fock space "
+        "explains them, so the reconstruction is not certified"
+    )
+
+
+def test_data_wholly_past_the_cutoff_raise():
+    # R would be 0, and the plain step R A / |R A| has no value
+    data = QuadratureDataset(angles=np.zeros(500), values=np.full(500, 11.0))
+    with pytest.raises(NumericsError, match="every observed bin has zero model probability"):
+        mle_reconstruct(data, ReconstructionConfig(**PAST_CUTOFF_GRID))
 
 
 def _raise_on_second_reconstruction(monkeypatch):
@@ -727,22 +762,39 @@ def _raise_on_second_reconstruction(monkeypatch):
 
 
 def _floor_second_draw(monkeypatch):
+    # the second resample's data gain one sample past the wavefunction cutoff
     calls = []
 
-    def far_draw(*args, **kwargs):
+    def draw_past_cutoff(*args, **kwargs):
         calls.append(draw_homodyne(*args, **kwargs))
-        return FAR_DATASET if len(calls) == 2 else calls[-1]
+        if len(calls) != 2:
+            return calls[-1]
+        return QuadratureDataset(
+            angles=np.append(calls[-1].angles, 0.0), values=np.append(calls[-1].values, 11.0)
+        )
 
-    monkeypatch.setattr(tomography, "draw_homodyne", far_draw)
+    monkeypatch.setattr(tomography, "draw_homodyne", draw_past_cutoff)
 
 
-@pytest.mark.parametrize("fault", [_raise_on_second_reconstruction, _floor_second_draw])
+def _stop_second_early(monkeypatch):
+    calls = []
+
+    def stopped(dataset, config):
+        calls.append(dataset)
+        return mle_reconstruct(dataset, replace(config, max_iters=1) if len(calls) == 2 else config)
+
+    monkeypatch.setattr(tomography, "mle_reconstruct", stopped)
+
+
+@pytest.mark.parametrize(
+    "fault", [_raise_on_second_reconstruction, _floor_second_draw, _stop_second_early]
+)
 @pytest.mark.parametrize("n_resamples, valid", [(5, False), (10, True)])
 def test_a_failed_resample_is_counted_and_shifts_no_other(
     lossy_kitten, monkeypatch, fault, n_resamples, valid
 ):
     kwargs = dict(
-        config=ReconstructionConfig(nmax=2, eta_correction=HD_ETA),
+        config=ReconstructionConfig(**PAST_CUTOFF_GRID, eta_correction=HD_ETA),
         per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
         n_resamples=n_resamples,
         seed=5,
@@ -759,12 +811,12 @@ def test_a_failed_resample_is_counted_and_shifts_no_other(
 
 @pytest.mark.parametrize("fault, cause", [
     (_raise_on_second_reconstruction, "NumericsError: injected failure"),
-    (_floor_second_draw, "1 observed bin(s) below the 1e-12 probability floor: the gap "
-                         "bounds nothing, so the reconstruction is not certified"),
+    (_floor_second_draw, "1 observed bin(s) of zero model probability: no state in the "
+                         "Fock space explains them, so the reconstruction is not certified"),
 ])
 def test_a_failed_resample_keeps_its_cause(lossy_kitten, monkeypatch, fault, cause):
     kwargs = dict(
-        config=ReconstructionConfig(nmax=2, eta_correction=HD_ETA),
+        config=ReconstructionConfig(**PAST_CUTOFF_GRID, eta_correction=HD_ETA),
         per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
         n_resamples=5,
         seed=5,
@@ -790,18 +842,20 @@ def test_a_bootstrap_without_two_successes_names_its_first_failure(lossy_kitten)
         )
 
 
-@pytest.mark.parametrize("nmax, converged", [(7, False), (8, True)])
-def test_one_outlier_on_the_default_grid_needs_nmax_8_here(nmax, converged):
-    # vacuum at three angles plus one sample at x = 7, reconstructed with
-    # eta = 0.88: at nmax 7 the loop stops with the outlier's bin floored
-    vacuum = FockDensityMatrix(nmax=0, entries=np.ones((1, 1)))
-    data = sample_homodyne(vacuum, np.radians([0.0, 60.0, 120.0]), 10_000, [1, 2, 3])
-    data = QuadratureDataset(
-        angles=np.append(data.angles, 0.0), values=np.append(data.values, 7.0)
-    )
-    result = mle_reconstruct(data, ReconstructionConfig(nmax=nmax, eta_correction=0.88))
-    assert result.metrics["floored_bins"] == (0 if converged else 1)
-    assert result.converged is converged
+@pytest.mark.parametrize("nmax", range(2, 9))
+def test_one_outlier_on_the_default_grid_certifies_at_every_nmax(nmax):
+    # vacuum at three angles plus one sample at x = 7, in the open edge bin:
+    # the certified MLE gives that bin 5.3e-17 to 7.7e-10, below 1e-12 in 28
+    # of the 42 cases over nmax 2-8, so a probability floor there would break
+    # tr(rho R) = 1
+    uncertified = []
+    for per_angle, eta in itertools.product((100, 1000, 10_000), (1.0, 0.88)):
+        config = ReconstructionConfig(nmax=nmax, eta_correction=eta)
+        metrics = mle_reconstruct(vacuum_with_outlier(per_angle, 7.0), config).metrics
+        if not (metrics["converged"] and metrics["gap"] <= config.gap_tol):
+            uncertified.append((per_angle, eta, metrics["gap"]))
+        assert metrics["floored_bins"] == 0
+    assert uncertified == []
 
 
 def test_bootstrap_requires_successful_resamples(lossy_kitten):
