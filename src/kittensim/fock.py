@@ -181,43 +181,34 @@ def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix
     return _finalize(cut, deficit=max(deficit, 0.0))
 
 
-def _cat_amplitudes(alphas, parity: str, dim: int) -> np.ndarray:
-    """Rows c_n = alpha^n / sqrt(n! N), n < dim, of the untruncated cat, one per alpha > 0.
+def _cat_amplitudes(alphas, dim: int) -> np.ndarray:
+    """Rows c_n, n < dim, of the untruncated odd cat with its lobes along p, one per alpha > 0.
 
-    N = cosh(a) (even) or sinh(a) (odd) at a = alpha^2, in log space as
-    a + log((1 +/- e^(-2a)) / 2): no overflow, and expm1 keeps small alpha exact.
+    (|i alpha> - |-i alpha>) / norm is i c with c_n = (-1)^(n//2) alpha^n / sqrt(n! sinh a)
+    on odd n, a = alpha^2; log sinh a = a + log((1 - e^(-2a)) / 2): no overflow, and
+    expm1 keeps small alpha exact.
     """
     a = np.asarray(alphas, dtype=float)[:, None] ** 2
-    half = 0.5 * np.expm1(-2.0 * a)  # (1 +/- e^(-2a)) / 2 is 1 + half (even) or -half (odd)
-    log_norm = a + (np.log(-half) if parity == "odd" else np.log1p(half))
+    log_norm = a + np.log(-0.5 * np.expm1(-2.0 * a))
     n = np.arange(dim)
     log_fact = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
-    amps = np.exp(0.5 * (n * np.log(a) - log_fact - log_norm))
-    return np.where(n % 2 == (parity == "odd"), amps, 0.0)
+    amps = np.exp(0.5 * (n * np.log(a) - log_fact - log_norm)) * (-1.0) ** (n // 2)
+    return np.where(n % 2 == 1, amps, 0.0)
 
 
-def cat_state(alpha: float, parity: str, nmax: int) -> np.ndarray:
-    """Normalized even/odd cat state vector (|alpha> +/- |-alpha>) in the Fock basis.
+def cat_state(alpha: float, nmax: int) -> np.ndarray:
+    """The p-lobed odd cat of `cat_fidelity`, renormalised on |0>..|nmax>; |1> at alpha = 0.
 
-    parity: "even" or "odd". The odd cat at alpha = 0 is defined as its limit |1>.
     Raises NumericsError if the truncated basis misses CAT_NORM_DEFICIT_TOL or
     more of the untruncated norm.
     """
-    if parity not in ("even", "odd"):
-        raise ValidationError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if alpha < 0.0:
-        raise ValidationError("alpha must be >= 0")
-    vec = np.zeros(nmax + 1)
+    if not 0.0 <= alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    if nmax < 1:
+        raise ValidationError("the odd cat needs nmax >= 1")
     if alpha == 0.0:
-        if parity == "odd":
-            if nmax < 1:
-                raise ValidationError("odd cat needs nmax >= 1")
-            vec[1] = 1.0
-        else:
-            vec[0] = 1.0
-        return vec
-
-    coeff = _cat_amplitudes([alpha], parity, nmax + 1)[0]
+        return np.eye(nmax + 1)[1]
+    coeff = _cat_amplitudes([alpha], nmax + 1)[0]
     included = float((coeff**2).sum())
     deficit = 1.0 - included
     if deficit >= CAT_NORM_DEFICIT_TOL:
@@ -398,8 +389,7 @@ def state_fidelity(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
 
 def _odd_cat_fidelities(rho: FockDensityMatrix, alphas) -> np.ndarray:
     """cat_fidelity for each alpha > 0."""
-    # i^n c_n on odd n is i (-1)^((n-1)/2) c_n: a real vector up to a global phase
-    vecs = _cat_amplitudes(alphas, "odd", rho.dim) * (-1.0) ** (np.arange(rho.dim) // 2)
+    vecs = _cat_amplitudes(alphas, rho.dim)
     return ((vecs @ rho.entries.real) * vecs).sum(axis=1)
 
 
@@ -411,8 +401,8 @@ def cat_fidelity(rho: FockDensityMatrix, alpha: float) -> float:
     space and only its components inside rho's truncated space contribute
     (rho is implicitly zero-padded). At alpha = 0 the cat is its limit |1>.
     """
-    if alpha < 0.0:
-        raise ValidationError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
     if alpha == 0.0:
         return float(rho.entries[1, 1].real) if rho.dim > 1 else 0.0
     return float(_odd_cat_fidelities(rho, [alpha])[0])
@@ -448,6 +438,7 @@ def density_matrix_to_json(rho: FockDensityMatrix) -> str:
 
 
 def density_matrix_from_json(text: str) -> FockDensityMatrix:
+    """The state a density-matrix JSON file holds; ValidationError unless it is a state."""
     try:
         payload = json.loads(text)
         nmax = int(payload["nmax"])
@@ -456,16 +447,14 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
         deficit = float(payload.get("trace_deficit", 0.0))  # absent from older files
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
-    mat = re + 1j * im
-    if mat.shape != (nmax + 1, nmax + 1):
+    if re.shape != im.shape:
         raise ValidationError(
-            f"density-matrix JSON shape {mat.shape} does not match nmax={nmax}"
+            f"density-matrix JSON has re of shape {re.shape} but im of shape {im.shape}"
         )
     if not math.isfinite(deficit):
         raise ValidationError("density-matrix JSON has a non-finite trace_deficit")
-    rho = FockDensityMatrix(nmax=nmax, entries=mat, trace_deficit=deficit)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-        raise ValidationError("density-matrix JSON is not Hermitian within 1e-12")
+    rho = FockDensityMatrix(nmax=nmax, entries=re + 1j * im, trace_deficit=deficit)
+    rho.validate()
     return rho
 
 

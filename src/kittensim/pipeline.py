@@ -96,6 +96,8 @@ class SamplingSection:
             raise ValidationError(f"repeated sampling angle in {list(self.angles_deg)} deg")
         if self.per_angle_count < 1:
             raise ValidationError("per_angle_count must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

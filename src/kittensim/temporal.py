@@ -71,8 +71,8 @@ class ModeFunction:
 
 def mode_function_eval(t, gamma: float, kappa: float, t0: float = 0.0):
     """The un-normalized two-sided exponential mode; peak value 1/gamma - 1/kappa."""
-    if not (gamma > 0.0 and kappa > gamma):
-        raise ValidationError("mode function needs kappa > gamma > 0")
+    if not 0.0 < gamma < kappa < math.inf:
+        raise ValidationError("mode function needs finite kappa > gamma > 0")
     tau = np.abs(np.asarray(t, dtype=float) - t0)
     val = np.exp(-gamma * tau) / gamma - np.exp(-kappa * tau) / kappa
     return val if val.ndim else float(val)
@@ -109,6 +109,8 @@ def build_mode(
     n = int(round((t_end - t_start) * sample_rate))
     if n < 8:
         raise ValidationError("window shorter than 8 samples")
+    t = t_start + np.arange(n) / sample_rate
+    w = mode_function_eval(t, gamma, kappa, t0)  # checks the rates before the tail mass
     total = 2.0 * _tail_mass(gamma, kappa, 0.0)
     tail = _tail_mass(gamma, kappa, t0 - t_start) + _tail_mass(gamma, kappa, t_end - t0)
     tail_fraction = tail / total
@@ -117,8 +119,6 @@ def build_mode(
             f"window keeps only {1 - tail_fraction:.6f} of the mode's L2 mass "
             f"(tail fraction {tail_fraction:.2e} > {TAIL_FRACTION_TOL:.0e})"
         )
-    t = t_start + np.arange(n) / sample_rate
-    w = mode_function_eval(t, gamma, kappa, t0)
     w = w / np.linalg.norm(w)
     return ModeFunction(
         gamma=gamma,
@@ -266,6 +266,8 @@ def synthesize_gaussian_traces(
         )
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     n = int(round(duration * sample_rate))
     if n < 8:
         raise ValidationError("trace shorter than 8 samples")

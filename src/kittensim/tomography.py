@@ -434,6 +434,8 @@ def bootstrap_metric(
     """
     if n_resamples < 2:
         raise ValidationError("need at least 2 resamples")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not per_angle_counts or min(per_angle_counts.values()) < 1:
         raise ValidationError("per_angle_counts must be non-empty and positive")
     detected = (

@@ -36,6 +36,7 @@ from kittensim import spectrum
 from kittensim.cli import build_parser, main
 from kittensim.temporal import load_trace_dir
 
+from test_fock import NOT_A_STATE
 from test_pipeline import small_config
 from test_spectrum import make_data, make_params
 
@@ -500,6 +501,28 @@ def test_non_finite_state_exits_1(capsys, tmp_path, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", NOT_A_STATE)
+@pytest.mark.parametrize("command", ["wigner-grid", "sample"])
+def test_a_file_that_holds_no_state_exits_1(capsys, tmp_path, command, case):
+    # wigner-grid used to write W(0,0) = 0.509 > 1/pi for the non-PSD matrix; sample
+    # exited 2 or ended in a ValueError traceback on a broadcast im
+    real, imag, message = NOT_A_STATE[case]
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({"nmax": 2, "re": real, "im": imag}))
+    out = tmp_path / "out.csv"
+    argv = {
+        "wigner-grid": ["--in", str(rho), "--out", str(out)],
+        "sample": ["--rho", str(rho), "--angles-deg", "0,90", "--count", "10", "--out", str(out)],
+    }[command]
+    rc, stdout, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert message in error["message"]
+    assert not out.exists()
+
+
 def test_bootstrap_cli(capsys, tmp_path):
     rho, _ = make_state(capsys, tmp_path)
     rc, out, _ = run_cli(
@@ -647,6 +670,55 @@ def test_pipeline_seed_override_changes_samples(capsys, tmp_path):
     w_b = json.loads(out_b)["metrics"]["w00"]
     assert w_a != w_b
     assert w_b == pytest.approx(w_a, abs=0.1)  # same physics, different draw
+
+
+@pytest.mark.parametrize("command", ["sample", "bootstrap", "synth-traces", "pipeline", "config"])
+def test_a_negative_seed_exits_1(capsys, tmp_path, command):
+    # each used to end in numpy's raw ValueError traceback
+    rho, _ = make_state(capsys, tmp_path)
+    ini = tmp_path / "exp.ini"
+    save_config(small_config(tmp_path / "run"), ini)
+    out = tmp_path / "out"
+    argv = {
+        "sample": ["sample", "--rho", str(rho), "--angles-deg", "0,90", "--count", "10",
+                   "--seed", "-1", "--out", str(out)],
+        "bootstrap": ["bootstrap", "--rho", str(rho), "--angles-deg", "0,90", "--count", "10",
+                      "--resamples", "2", "--seed", "-3", "--out", str(out)],
+        "synth-traces": ["synth-traces", "--spectrum", "flat", "--count", "2",
+                         "--seed", "-1", "--out-dir", str(out)],
+        "pipeline": ["pipeline", "--config", str(ini), "--out", str(out), "--seed", "-7"],
+        "config": ["pipeline", "--config", str(ini), "--out", str(out)],
+    }[command]
+    if command == "config":
+        ini.write_text(ini.read_text().replace("seed = 42", "seed = -1"))
+        assert "seed = -1" in ini.read_text()
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert "seed must be >= 0" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--kappa-mhz", "0"), ("--gamma-mhz", "0"), ("--gamma-mhz", "-8"), ("--kappa-mhz", "inf"),
+])
+def test_extract_rejects_bad_mode_rates(capsys, tmp_path, flag, value):
+    # a ZeroDivisionError traceback, a "window keeps only -1.1e22" numerics error and a
+    # "must be finite" message about angles came before the rule was checked
+    rc, _, _ = run_cli(capsys, "synth-traces", "--spectrum", "flat", "--count", "4",
+                       "--out-dir", str(tmp_path / "sig"))
+    assert rc == 0
+    out = tmp_path / "quads.csv"
+    rc, stdout, err = run_cli(capsys, "extract", "--traces", str(tmp_path / "sig"),
+                              flag, value, "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {
+        "error": "validation", "message": "mode function needs finite kappa > gamma > 0"
+    }
+    assert not out.exists()
 
 
 def test_reconstruction_flag_defaults_match_config_section():

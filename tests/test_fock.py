@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -301,25 +302,20 @@ def test_wigner_grid_normalization(kitten):
 
 def test_cat_state_norm_and_mean_photon():
     for alpha in (0.5, 0.9, 1.4):
-        odd = cat_state(alpha, parity="odd", nmax=30)
-        even = cat_state(alpha, parity="even", nmax=30)
+        odd = cat_state(alpha, nmax=30)
         assert np.linalg.norm(odd) == pytest.approx(1.0, abs=1e-12)
         n_odd = float(np.sum(np.arange(odd.size) * np.abs(odd) ** 2))
-        n_even = float(np.sum(np.arange(even.size) * np.abs(even) ** 2))
         assert n_odd == pytest.approx(alpha**2 / math.tanh(alpha**2), rel=1e-12)
-        assert n_even == pytest.approx(alpha**2 * math.tanh(alpha**2), rel=1e-12)
 
 
 def test_cat_state_small_alpha_limits():
-    odd = cat_state(0.0, parity="odd", nmax=6)
-    assert abs(odd[1]) == pytest.approx(1.0, abs=1e-12)
-    even = cat_state(1e-4, parity="even", nmax=6)
-    assert abs(even[0]) == pytest.approx(1.0, abs=1e-6)
+    assert cat_state(0.0, nmax=6).tolist() == [0, 1, 0, 0, 0, 0, 0]
+    assert abs(cat_state(1e-4, nmax=6)[1]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cat_state_truncation_gate():
     with pytest.raises(NumericsError):
-        cat_state(3.0, parity="odd", nmax=6)
+        cat_state(3.0, nmax=6)
 
 
 def test_best_cat_fidelity_purified_kitten():
@@ -372,9 +368,37 @@ def test_cat_fidelity_matches_a_coherent_state_reference(kitten, lossy_kitten, a
         assert abs(cat_fidelity(rho, alpha) - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.7])
+def test_cat_state_matches_a_coherent_state_reference(alpha):
+    # the reference cat, truncated to nmax and renormalised, up to a global phase
+    nmax = 19
+    expected = reference_p_lobed_cats([alpha])[0, : nmax + 1]
+    expected /= np.linalg.norm(expected)
+    psi = cat_state(alpha, nmax)
+    phase = np.vdot(psi, expected)
+    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(phase * psi - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9, 1.7])
+def test_cat_state_is_the_cat_of_cat_fidelity(kitten, lossy_kitten, alpha):
+    # cat_state once put its lobes along x: 0.469 against cat_fidelity's 0.706 at 0.9
+    for rho in (kitten, lossy_kitten):
+        assert abs(fidelity(rho, cat_state(alpha, rho.nmax)) - cat_fidelity(rho, alpha)) <= 1e-10
+
+
 def test_cat_fidelity_rejects_negative_alpha(kitten):
     with pytest.raises(ValidationError):
         cat_fidelity(kitten, -0.1)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
+def test_cat_state_and_cat_fidelity_need_a_finite_non_negative_alpha(kitten, alpha):
+    # NaN and inf passed the `alpha < 0` check, and both returned NaN
+    with pytest.raises(ValidationError, match="alpha must be finite and >= 0"):
+        cat_state(alpha, kitten.nmax)
+    with pytest.raises(ValidationError, match="alpha must be finite and >= 0"):
+        cat_fidelity(kitten, alpha)
 
 
 @pytest.mark.parametrize("name", ["local", "transmitted"])
@@ -402,7 +426,7 @@ def test_cat_orientation_matters(kitten):
 
 
 def test_fidelity_definitions_agree(kitten):
-    psi = cat_state(0.9, parity="odd", nmax=kitten.nmax)
+    psi = cat_state(0.9, nmax=kitten.nmax)
     direct = fidelity(kitten, psi)
     dm = np.outer(psi, psi.conj())
     uhlmann = state_fidelity(kitten, FockDensityMatrix(nmax=kitten.nmax, entries=dm))
@@ -451,6 +475,26 @@ def test_density_matrix_json_rejects_non_hermitian(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
+        load_density_matrix(path)
+
+
+NOT_A_STATE = {  # density-matrix files of nmax 2 that hold no state: re, im, the loader's reason
+    "not-psd": ([[1.3, 0, 0], [0, -0.3, 0], [0, 0, 0]], [[0] * 3] * 3, "eigenvalue below -1e-9"),
+    "trace-0.75": ([[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0]], [[0] * 3] * 3, "trace differs from 1"),
+    "im-2x2": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[0] * 2] * 2, "im of shape (2, 2)"),
+    "im-row": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [0] * 3, "im of shape (3,)"),
+    "im-scalar": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], 0, "im of shape ()"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_STATE)
+def test_density_matrix_json_must_hold_a_state(tmp_path, case):
+    # the loader checked only the shape of re + 1j im and Hermiticity: a non-PSD
+    # matrix or a trace of 0.75 loaded, and an im row or scalar was broadcast
+    real, imag, message = NOT_A_STATE[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nmax": 2, "re": real, "im": imag}))
+    with pytest.raises(ValidationError, match=re.escape(message)):
         load_density_matrix(path)
 
 

@@ -191,6 +191,14 @@ def test_config_rejects_repeated_angles(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_a_negative_seed(tmp_path):
+    # it loaded, and the run then ended in numpy's raw ValueError
+    path = tmp_path / "bad.ini"
+    path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[sampling]\nseed = -1\n")
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        load_config(path)
+
+
 def test_sampling_section_rejects_repeated_angles():
     with pytest.raises(ValidationError):
         SamplingSection(angles_deg=(0.0, 30.0, 0.0))

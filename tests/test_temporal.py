@@ -44,6 +44,16 @@ def test_mode_function_requires_kappa_above_gamma():
         mode_function_eval(np.zeros(3), KAPPA, GAMMA)
 
 
+@pytest.mark.parametrize("gamma, kappa", [
+    (GAMMA, 0.0), (0.0, KAPPA), (-GAMMA, KAPPA), (GAMMA, math.inf), (math.nan, KAPPA),
+], ids=["kappa-0", "gamma-0", "gamma-negative", "kappa-inf", "gamma-nan"])
+def test_build_mode_checks_the_rates_first(gamma, kappa):
+    # the tail mass came first: a ZeroDivisionError, a window that "keeps only
+    # -1.1e22" of the mass, or a NaN mode
+    with pytest.raises(ValidationError, match="needs finite kappa > gamma > 0"):
+        build_mode(gamma, kappa, 0.5e-6, FS, window=(0.0, 1.0e-6))
+
+
 def test_build_mode_shape_and_norm():
     mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
     assert mode.weights.size == 500
@@ -246,6 +256,12 @@ def test_build_mode_rejects_bad_inputs(t0, sample_rate, window, message):
 def test_synthesis_rejects_bad_inputs(spectrum, duration, count, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         synthesize_gaussian_traces(spectrum, duration, FS, count, seed=1)
+
+
+def test_synthesis_rejects_a_negative_seed():
+    # numpy's default_rng raised a bare ValueError, which no caller catches
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        synthesize_gaussian_traces(flat_half, 1.0e-6, FS, 4, seed=-1)
 
 
 def test_periodogram_rejects_a_single_trace():

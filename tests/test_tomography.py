@@ -312,6 +312,13 @@ def test_angle_overrides_must_cover_dataset(lossy_kitten):
                          n_resamples=2, seed=0)
 
 
+def test_bootstrap_rejects_a_negative_seed(lossy_kitten):
+    # numpy's SeedSequence raised a bare ValueError, which no caller catches
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+        bootstrap_metric(lossy_kitten, ReconstructionConfig(nmax=6),
+                         per_angle_counts={0.0: 10}, n_resamples=2, seed=-3)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{0.0: math.nan}, {0.0: math.inf}, {math.nan: 0.0}, {-math.inf: 0.0}],
