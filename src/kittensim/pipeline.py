@@ -192,8 +192,12 @@ def _parse_value(section: str, key: str, raw: str, kind):
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an INI experiment config; unknown keys are errors."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # no interpolation: a value holding "%" reads back as save_config wrote it
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValidationError(f"{path}: malformed config ({exc})") from exc
     if not read:
         raise ValidationError(f"config file not found: {path}")
     kwargs = {}

@@ -22,8 +22,9 @@ from .util import read_csv, write_csv
 
 TAIL_FRACTION_TOL = 1e-3
 _MIN_ENSEMBLE = 1000
-# synthesis draws the amplitudes of this many traces at a time and inverse-transforms them
-# in sub-blocks of _FFT_ROWS, so its temporaries stay small beside the output
+# synthesis draws the real parts of this many traces at a time, then each sub-block of
+# _FFT_ROWS traces' imaginary parts as it inverse-transforms that sub-block into the
+# output, so its temporaries stay small beside the output
 _DRAW_ROWS = 2048
 _FFT_ROWS = 256
 
@@ -79,11 +80,12 @@ def mode_function_eval(t, gamma: float, kappa: float, t0: float = 0.0):
 
 
 def _tail_mass(gamma: float, kappa: float, tau: float) -> float:
-    """int_tau^inf f(t0+s)^2 ds in closed form."""
+    """int_tau^inf f(t0+s)^2 ds in units of 1/(2 gamma^3): no power of a rate can overflow."""
+    r = gamma / kappa
     return (
-        math.exp(-2.0 * gamma * tau) / (2.0 * gamma**3)
-        - 2.0 * math.exp(-(gamma + kappa) * tau) / ((gamma + kappa) * gamma * kappa)
-        + math.exp(-2.0 * kappa * tau) / (2.0 * kappa**3)
+        math.exp(-2.0 * gamma * tau)
+        - 4.0 * r * r / (1.0 + r) * math.exp(-(gamma + kappa) * tau)
+        + r**3 * math.exp(-2.0 * kappa * tau)
     )
 
 
@@ -111,10 +113,12 @@ def build_mode(
         raise ValidationError("window shorter than 8 samples")
     t = t_start + np.arange(n) / sample_rate
     w = mode_function_eval(t, gamma, kappa, t0)  # checks the rates before the tail mass
-    total = 2.0 * _tail_mass(gamma, kappa, 0.0)
+    # the whole mass, 2 _tail_mass(gamma, kappa, 0), factored to keep its digits as gamma -> kappa
+    r = gamma / kappa
+    total = 2.0 * ((kappa - gamma) / kappa) ** 2 * (1.0 + 3.0 * r + r * r) / (1.0 + r)
     tail = _tail_mass(gamma, kappa, t0 - t_start) + _tail_mass(gamma, kappa, t_end - t0)
     tail_fraction = tail / total
-    if tail_fraction > TAIL_FRACTION_TOL:
+    if not tail_fraction <= TAIL_FRACTION_TOL:  # a NaN fraction fails too
         raise NumericsError(
             f"window keeps only {1 - tail_fraction:.6f} of the mode's L2 mass "
             f"(tail fraction {tail_fraction:.2e} > {TAIL_FRACTION_TOL:.0e})"
@@ -277,18 +281,23 @@ def synthesize_gaussian_traces(
     half = amp / math.sqrt(2.0)
     nyquist = n % 2 == 0
     out = np.empty((count, n))
+    im = np.empty((min(_FFT_ROWS, count), v.size))
+    z = np.empty(im.shape, dtype=complex)
     for start in range(0, count, _DRAW_ROWS):
         rows = min(_DRAW_ROWS, count - start)
-        # all real parts of the block, then all imaginary parts: this fixes the stream
+        # all real parts of the block, then its imaginary parts in row order: this
+        # fixes the stream, and drawing those a sub-block at a time keeps it
         re = rng.standard_normal((rows, v.size))
-        im = rng.standard_normal((rows, v.size))
         for sub in range(0, rows, _FFT_ROWS):
-            part = slice(sub, sub + _FFT_ROWS)
-            z = (re[part] + 1j * im[part]) * half
-            z[:, 0] = re[part, 0] * amp[0]  # DC bin is real
+            re_sub = re[sub : sub + _FFT_ROWS]
+            k = re_sub.shape[0]
+            rng.standard_normal(out=im[:k])
+            np.multiply(re_sub, half, out=z[:k].real)
+            np.multiply(im[:k], half, out=z[:k].imag)
+            z[:k, 0] = re_sub[:, 0] * amp[0]  # DC bin is real
             if nyquist:
-                z[:, -1] = re[part, -1] * amp[-1]
-            out[start + sub : start + sub + z.shape[0]] = np.fft.irfft(z, n=n, axis=1)
+                z[:k, -1] = re_sub[:, -1] * amp[-1]
+            np.fft.irfft(z[:k], n=n, axis=1, out=out[start + sub : start + sub + k])
     return out
 
 
@@ -345,17 +354,22 @@ def load_trace_csv(path) -> TimeTrace:
 
 
 def load_trace_dir(directory) -> tuple[np.ndarray, float, np.ndarray]:
-    """Load every *.csv trace in a directory (sorted) into one ensemble array."""
+    """Load every *.csv trace in a directory (sorted) into one ensemble array.
+
+    Each file is copied into its row as it is read, so the ensemble is held once.
+    """
     directory = Path(directory)
     files = sorted(directory.glob("*.csv"))
     if not files:
         raise ValidationError(f"no trace files found in {directory}")
-    traces = [load_trace_csv(f) for f in files]
-    rate = traces[0].sample_rate
-    length = traces[0].values.size
-    for t, f in zip(traces, files):
-        if not math.isclose(t.sample_rate, rate, rel_tol=1e-9) or t.values.size != length:
+    first = load_trace_csv(files[0])
+    rate = first.sample_rate
+    values = np.empty((len(files), first.values.size))
+    triggers = np.empty(len(files), dtype=int)
+    for row, f in enumerate(files):
+        t = first if row == 0 else load_trace_csv(f)
+        if not math.isclose(t.sample_rate, rate, rel_tol=1e-9) or t.values.size != values.shape[1]:
             raise ValidationError(f"{f}: trace grid differs from the rest of the ensemble")
-    values = np.stack([t.values for t in traces])
-    triggers = np.asarray([t.trigger_index for t in traces])
+        values[row] = t.values
+        triggers[row] = t.trigger_index
     return values, rate, triggers

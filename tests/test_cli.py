@@ -721,6 +721,41 @@ def test_extract_rejects_bad_mode_rates(capsys, tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[state]\nv_x_db = -1.0\nv_x_db = -2.0\n",
+    "[state]\nv_x_db\n",
+    "v_x_db = -1.0\n[state]\n",
+], ids=["duplicate-key", "no-equals-sign", "key-before-any-section"])
+def test_a_malformed_config_exits_1(capsys, tmp_path, text):
+    # each ended in a raw configparser traceback
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(ini), "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"{ini}: malformed config (")
+    assert not out.exists()
+
+
+def test_extract_with_a_vanishing_gamma_exits_2(capsys, tmp_path):
+    # the tail fraction of the window was NaN, and a flat mode came back
+    rc, _, _ = run_cli(capsys, "synth-traces", "--spectrum", "flat", "--count", "4",
+                       "--out-dir", str(tmp_path / "sig"))
+    assert rc == 0
+    out = tmp_path / "quads.csv"
+    rc, stdout, err = run_cli(capsys, "extract", "--traces", str(tmp_path / "sig"),
+                              "--gamma-mhz", "1e-110", "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "numerics"
+    assert "tail fraction 1.00e+00 > 1e-03" in error["message"]
+    assert not out.exists()
+
+
 def test_reconstruction_flag_defaults_match_config_section():
     section = asdict(ReconstructionSection())
     resamples = section.pop("bootstrap_resamples")

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from kittensim import (
+    QuadratureDataset,
     ValidationError,
     load_samples_csv,
     load_spectrum_csv,
     load_trace_csv,
+    save_samples_csv,
 )
 from kittensim.cli import main
 from kittensim.util import read_csv, write_csv
+from test_temporal import traced_peak
 
 SPECTRA = "freq_hz,angle_deg,variance_snu\n1.0,0.0,0.5\n2.0,0.0,0.5\n"
 
@@ -96,3 +99,17 @@ def test_writer_keeps_each_bit_pattern_of_repeated_values(tmp_path):
     assert rows == [f"{a!r},{b!r}" for a, b in zip(signed.tolist(), other.tolist())]
     _, table = read_csv(path, ("a", "b"))
     np.testing.assert_array_equal(table.view(np.int64), np.stack((signed, other)).view(np.int64))
+
+
+def test_samples_reader_streams_its_rows(tmp_path):
+    # the rows go through one numpy parse as they are read; a reader that
+    # held every line of the file at once peaked at 7x the table
+    rng = np.random.default_rng(5)
+    rows = 30_000
+    path = tmp_path / "samples.csv"
+    dataset = QuadratureDataset(rng.uniform(0.0, np.pi, rows), rng.standard_normal(rows))
+    save_samples_csv(dataset, path)
+    load_samples_csv(path)
+    dataset, peak = traced_peak(lambda: load_samples_csv(path))
+    assert len(dataset) == rows
+    assert peak <= 2.1 * (dataset.angles.nbytes + dataset.values.nbytes)

@@ -52,6 +52,15 @@ def test_config_ini_round_trip(tmp_path):
     assert load_config(path) == config
 
 
+def test_config_ini_round_trip_keeps_a_percent_in_the_directory(tmp_path):
+    # save_config writes the directory verbatim; interpolation read its "%"
+    # as the start of a reference and raised InterpolationSyntaxError
+    config = small_config(tmp_path / "runs at 100% and %(state)s")
+    path = tmp_path / "exp.ini"
+    save_config(config, path)
+    assert load_config(path) == config
+
+
 def test_config_ini_round_trip_of_every_key(tmp_path):
     # each key's INI type comes from its field's type: a key parsed as the
     # wrong type would not come back equal

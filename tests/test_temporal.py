@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,34 @@ def test_build_mode_checks_the_rates_first(gamma, kappa):
     # -1.1e22" of the mass, or a NaN mode
     with pytest.raises(ValidationError, match="needs finite kappa > gamma > 0"):
         build_mode(gamma, kappa, 0.5e-6, FS, window=(0.0, 1.0e-6))
+
+
+@pytest.mark.parametrize("gamma", [6.3e-104, 1e-200])
+def test_build_mode_rejects_a_window_for_a_vanishing_gamma(gamma):
+    # the mode barely decays inside the window; the tail mass divided by
+    # gamma**3, which overflowed to a NaN fraction that let a flat mode
+    # through (6.3e-104) or underflowed to a ZeroDivisionError (1e-200)
+    with pytest.raises(NumericsError, match=re.escape("tail fraction 1.00e+00 > 1e-03")):
+        build_mode(gamma, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-12])
+def test_build_mode_keeps_the_mass_of_a_nearly_degenerate_mode(gap):
+    # gamma within `gap` of kappa: the unfactored whole mass cancelled to 0
+    # and the call ended in a ZeroDivisionError
+    mode = build_mode(KAPPA * (1.0 - gap), KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+    assert np.linalg.norm(mode.weights) == pytest.approx(1.0, rel=1e-12)
+    assert abs(mode.tail_fraction) < 1e-60
+
+
+def traced_peak(call):
+    """(call(), the peak bytes that tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_build_mode_shape_and_norm():
@@ -152,6 +181,17 @@ def test_synthesis_stream_is_pinned_across_draw_blocks():
         np.testing.assert_array_equal(traces[row, :3], values)
     digest = hashlib.sha256(traces.tobytes()).hexdigest()
     assert digest == "21033da7404f312803fe913c7a75fef8069c47e0b182836c67555d6753e51b54"
+
+
+def test_synthesis_holds_its_output_about_once():
+    # the whole draw block's imaginary parts and its complex temporaries came to
+    # 2.81x the output; now one sub-block's imaginary parts and amplitudes are reused
+    synthesize_gaussian_traces(flat_half, 1.0e-6, FS, 4, seed=1)
+    traces, peak = traced_peak(
+        lambda: synthesize_gaussian_traces(flat_half, 1.0e-6, FS, 1000, seed=1)
+    )
+    assert traces.shape == (1000, 500)
+    assert peak <= 2.2 * traces.nbytes
 
 
 def test_periodogram_tracks_spectrum():
@@ -293,3 +333,29 @@ def test_load_trace_dir_rejects_a_trace_on_another_grid(tmp_path, other):
     message = f"{tmp_path / 'trace_00001.csv'}: trace grid differs from the rest of the ensemble"
     with pytest.raises(ValidationError, match=re.escape(message)):
         load_trace_dir(tmp_path)
+
+
+def write_trace_dir(directory, count, length):
+    rng = np.random.default_rng(97)
+    for i in range(count):
+        trace = TimeTrace(FS, rng.standard_normal(length), trigger_index=i % length)
+        save_trace_csv(trace, directory / f"trace_{i:05d}.csv")
+
+
+def test_load_trace_dir_stacks_the_trace_files(tmp_path):
+    write_trace_dir(tmp_path, 7, 64)
+    values, fs, triggers = load_trace_dir(tmp_path)
+    traces = [load_trace_csv(f) for f in sorted(tmp_path.glob("*.csv"))]
+    np.testing.assert_array_equal(values, np.stack([t.values for t in traces]))
+    np.testing.assert_array_equal(triggers, [t.trigger_index for t in traces])
+    assert values.dtype == np.float64 and triggers.dtype == np.int64
+    assert fs == FS
+
+
+def test_load_trace_dir_holds_the_ensemble_about_once(tmp_path):
+    # a list of every file's trace and then np.stack came to 2.24x the ensemble
+    write_trace_dir(tmp_path, 200, 500)
+    load_trace_dir(tmp_path)
+    (values, _, _), peak = traced_peak(lambda: load_trace_dir(tmp_path))
+    assert values.shape == (200, 500)
+    assert peak <= 1.3 * values.nbytes
