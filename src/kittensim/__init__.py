@@ -18,6 +18,7 @@ from .fock import (
     density_matrix_from_json,
     density_matrix_to_json,
     fidelity,
+    fock_wavefunctions,
     gaussian_state,
     load_density_matrix,
     loss_adjoint,
@@ -34,7 +35,6 @@ from .quadrature import (
     QuadratureDataset,
     dataset_from_angle_blocks,
     draw_homodyne,
-    fock_wavefunctions,
     homodyne_cdfs,
     load_samples_csv,
     marginal_pdf,

@@ -7,6 +7,7 @@ units") and the Wigner function is bounded by 1/pi in magnitude.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,6 +93,22 @@ def _finalize(raw: np.ndarray, *, deficit: float = 0.0) -> FockDensityMatrix:
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Matrix of the annihilation operator a on a `dim`-level truncated space."""
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Harmonic-oscillator position wavefunctions psi_0..psi_nmax on a grid.
+
+    psi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), evaluated with the
+    stable normalized three-term recurrence. Returns shape (nmax+1, len(x)).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1, x.size))
+    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
+    if nmax >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for n in range(2, nmax + 1):
+        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,54 +323,87 @@ def phase_diffusion(rho: FockDensityMatrix, sigma: float) -> FockDensityMatrix:
 # ---------------------------------------------------------------------------
 
 def wigner(rho: FockDensityMatrix, x, p) -> np.ndarray | float:
-    """Wigner function W(x, p), summed over the diagonals of rho.
+    """Wigner function W(x, p) as a separable sum of Hermite functions of x and of p.
 
-    With A = sqrt(2) (x + i p) and B = |A|^2 = 2 (x^2 + p^2), the Fock-basis
-    element W_m,m+L is (1/pi) e^(-B/2) LL_m^L(B) A^L / sqrt(L!), where
-    LL_m^L = (-1)^m sqrt(m! L!/(m+L)!) L_m^(L) is the normalised associated
-    Laguerre function (Leonhardt, Measuring the Quantum State of Light, 1997).
-    So, as in QuTiP (Johansson, Nation & Nori, CPC 184, 1234, 2013), each
-    diagonal L of rho (off-diagonal entries doubled) gives a real-coefficient
-    sum S_L(B) = sum_m c_m,m+L LL_m^L(B), and W = Re(sum_L S_L A^L / sqrt(L!))
-    e^(-B/2) / pi, summed by Horner's rule in A. The Laguerre functions come
-    from their real three-term recurrence, once per distinct radius.
+    W(x, p) = (1/pi) int dy e^(2ipy) <x-y| rho |x+y>. The 50:50 two-mode rotation
+    splits psi_m(x-y) psi_n(x+y) into sum_k B^mn_k psi_k(sqrt2 x) psi_(m+n-k)(sqrt2 y),
+    and int e^(2ipy) psi_j(sqrt2 y) dy = sqrt(pi) i^j psi_j(sqrt2 p) (Leonhardt,
+    Measuring the Quantum State of Light, 1997). So W = sum_kj K_kj h_k(x) h_j(p)
+    with h_k(u) = psi_k(sqrt2 u), k, j < 2 dim - 1, and the real matrix
+    K_kj = Re(i^j sum_(m+n=k+j) rho_mn B^mn_k) / sqrt(pi) (see `_wigner_split`).
+    h is evaluated on the distinct x and the distinct p values only, after
+    collapsing each axis along which a coordinate is constant, and W on the
+    grid of distinct values is h(x)^T K h(p); when that grid has more entries
+    than there are points (scattered points) the sum runs per point instead.
     Broadcasts over array-valued x, p. Normalized so that the full-plane
     integral is 1 and |W| <= 1/pi for any physical state.
     """
     x_arr, p_arr = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
-    r2, inverse = np.unique(x_arr**2 + p_arr**2, return_inverse=True)
-    b = 2.0 * r2
-    d = rho.dim
-    coeff = rho.entries * (2.0 - np.eye(d))
-    weight = np.exp(-r2) / math.pi
-    lag = np.empty((d, r2.size))
-    terms = np.empty((d, r2.size), dtype=complex)
-    for ell in range(d):
-        rows = d - ell
-        # rows n of LL_n^ell(B) e^(-B/2) / pi, by the recurrence
-        # LL_n+1 = ((B - 2n - 1 - ell) LL_n - sqrt(n (n + ell)) LL_n-1) / sqrt((n + 1)(n + 1 + ell))
-        lag[0] = weight
-        if rows > 1:
-            lag[1] = (b - (1.0 + ell)) * lag[0] / math.sqrt(1.0 + ell)
-        for n in range(1, rows - 1):
-            nxt = lag[n + 1]
-            np.subtract(b, 2 * n + 1 + ell, out=nxt)
-            nxt *= lag[n]
-            nxt -= math.sqrt(n * (n + ell)) * lag[n - 1]
-            nxt /= math.sqrt((n + 1) * (n + 1 + ell))
-        # S_ell e^(-B/2) / pi, as one real (2, rows) x (rows, radii) product
-        diag = np.diagonal(coeff, ell)
-        terms[ell].real, terms[ell].imag = np.stack((diag.real, diag.imag)) @ lag[:rows]
-    a = math.sqrt(2.0) * (x_arr + 1j * p_arr)
-    inverse = inverse.reshape(x_arr.shape)
-    w = terms[d - 1][inverse]
-    for ell in range(d - 2, -1, -1):  # w <- S_ell + w A / sqrt(ell + 1)
-        w *= a
-        w *= 1.0 / math.sqrt(ell + 1)
-        w += terms[ell][inverse]
-    if w.ndim == 0:
-        return float(w.real)
-    return w.real.copy()  # frees the complex sum
+    size = 2 * rho.dim - 1
+    rows, target, coeff = _wigner_split(rho.dim)
+    kernel = np.bincount(
+        target, (rho.entries.ravel()[rows] * coeff).real, minlength=size * size
+    ).reshape(size, size)
+
+    def h(u):  # rows h_0..h_(size-1) at the points u
+        return fock_wavefunctions(size - 1, math.sqrt(2.0) * u)
+
+    xs, x_index = _distinct(x_arr)
+    ps, p_index = _distinct(p_arr)
+    if xs.size * ps.size <= x_arr.size:
+        w = (h(xs).T @ kernel @ h(ps))[x_index, p_index]
+    else:
+        right = kernel @ h(p_arr.ravel())
+        w = np.einsum("ki,ki->i", h(x_arr.ravel()), right).reshape(x_arr.shape)
+    return float(w) if w.ndim == 0 else w
+
+
+def _distinct(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of `arr` and, broadcast to its shape, each entry's index among them.
+
+    Axes along which `arr` is constant are dropped before sorting, so the axes
+    of a meshgrid or of broadcast 1-D coordinates cost one row each.
+    """
+    core = arr
+    for axis in range(arr.ndim):
+        first = core[(slice(None),) * axis + (slice(0, 1),)]
+        if (core == first).all():
+            core = first
+    values, index = np.unique(core, return_inverse=True)
+    return values, np.broadcast_to(index.reshape(core.shape), arr.shape)
+
+
+@functools.lru_cache(maxsize=2)
+def _wigner_split(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear map rho -> K of `wigner`, as read-only (rows, target, coeff) triplets.
+
+    K.flat[target] gathers Re(rho.flat[rows] * coeff), where coeff is
+    i^j B^mn_k / sqrt(pi) for row m dim + n and target k (2 dim - 1) + j,
+    j = m + n - k. With N = m + n,
+    B^mn_k = 2^(-N/2) sqrt(k! (N-k)! / (m! n!)) [z^k] (z - 1)^m (1 + z)^n.
+    The polynomial coefficients are exact Python integers (int64 overflows
+    past dim 32) and each B is rounded once, from an exact integer ratio.
+    Built on first use; the tables of the last 2 dimensions used are kept.
+    """
+    size = 2 * dim - 1
+    fact = [math.factorial(k) for k in range(size)]
+    phase = (1.0, 1j, -1.0, -1j)
+    rows, target, coeff = [], [], []
+    for m in range(dim):
+        poly = [math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)]  # (z - 1)^m
+        for n in range(dim):
+            total = m + n
+            for k, c in enumerate(poly):
+                j = total - k
+                ratio = (c * c * fact[k] * fact[j]) / (fact[m] * fact[n] << total)
+                rows.append(m * dim + n)
+                target.append(k * size + j)
+                coeff.append(math.copysign(math.sqrt(ratio / math.pi), c) * phase[j % 4])
+            poly = [a + b for a, b in zip([0] + poly, poly + [0])]  # times (1 + z)
+    table = np.array(rows), np.array(target), np.array(coeff)
+    for part in table:
+        part.setflags(write=False)
+    return table
 
 
 def wigner_origin(rho: FockDensityMatrix) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .fock import FockDensityMatrix
+from .fock import FockDensityMatrix, fock_wavefunctions
 from .util import read_csv, write_csv
 
 # The fixed inverse-CDF sampling grid; a marginal with more than MASS_DEFICIT_TOL of
@@ -24,22 +24,6 @@ SAMPLING_GRID = np.linspace(-8.0, 8.0, 4001)
 SAMPLING_GRID.setflags(write=False)
 MASS_DEFICIT_TOL = 1e-4
 _SAMPLES_HEADER = ("angle_deg", "value")
-
-
-def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Harmonic-oscillator position wavefunctions psi_0..psi_nmax on a grid.
-
-    psi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), evaluated with the
-    stable normalized three-term recurrence. Returns shape (nmax+1, len(x)).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for n in range(2, nmax + 1):
-        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
-    return out
 
 
 def _angle_phases(angles, dim: int) -> np.ndarray:

@@ -71,11 +71,19 @@ class ModeFunction:
 
 
 def mode_function_eval(t, gamma: float, kappa: float, t0: float = 0.0):
-    """The un-normalized two-sided exponential mode; peak value 1/gamma - 1/kappa."""
+    """The un-normalized two-sided exponential mode; peak value 1/gamma - 1/kappa.
+
+    e^(-gamma tau)/gamma - e^(-kappa tau)/kappa, tau = |t - t0|, is evaluated as
+    (e^(-gamma tau)/gamma) (-expm1(log1p(-(kappa - gamma)/kappa) - (kappa - gamma) tau)):
+    the two exponentials do not cancel as gamma -> kappa.
+    """
     if not 0.0 < gamma < kappa < math.inf:
         raise ValidationError("mode function needs finite kappa > gamma > 0")
     tau = np.abs(np.asarray(t, dtype=float) - t0)
-    val = np.exp(-gamma * tau) / gamma - np.exp(-kappa * tau) / kappa
+    gap = kappa - gamma
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf once gamma/kappa < 2^-53
+        log_ratio = np.log1p(-gap / kappa)
+    val = np.exp(-gamma * tau) / gamma * -np.expm1(log_ratio - gap * tau)
     return val if val.ndim else float(val)
 
 

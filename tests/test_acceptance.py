@@ -100,7 +100,7 @@ def test_criterion_1_round_trip(capsys):
 
 def test_criterion_2_analytic_identities(capsys):
     """Independent code paths agree on four families of closed-form identities."""
-    # (a) Laguerre-kernel Wigner at the origin vs the parity sum
+    # (a) Hermite-function expansion of the Wigner function at the origin vs the parity sum
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(20):

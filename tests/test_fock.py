@@ -38,6 +38,7 @@ from kittensim.pipeline import detect_and_sample
 from kittensim.quadrature import marginal_variance
 
 from conftest import random_density_matrix
+from test_temporal import traced_peak
 
 
 def test_variance_db_conversion():
@@ -298,6 +299,56 @@ def test_wigner_grid_normalization(kitten):
     total = np.trapezoid(np.trapezoid(w, ax, axis=1), ax)
     assert total == pytest.approx(1.0, abs=1e-4)
     assert np.all(np.abs(w) <= 1.0 / math.pi + 1e-9)
+
+
+def test_wigner_matches_row_recurrence_past_the_int64_range():
+    # dim 41: the integer coefficients of (z - 1)^m (1 + z)^n outgrow int64 past dim 32
+    rng = np.random.default_rng(140)
+    rho = FockDensityMatrix(nmax=40, entries=random_density_matrix(rng, 41))
+    for x, p in [
+        (np.linspace(-3.0, 3.0, 57), np.linspace(2.5, -1.5, 57)),
+        (np.linspace(-4.0, 4.0, 41)[:, None], np.linspace(-4.0, 4.0, 33)[None, :]),
+    ]:
+        assert np.max(np.abs(wigner(rho, x, p) - reference_wigner(rho, x, p))) <= 1e-13
+
+
+def test_wigner_agrees_across_point_layouts(kitten):
+    # the grid of distinct values and the per-point sum give the same numbers
+    ax = np.linspace(-6.0, 6.0, 201)
+    x, p = np.meshgrid(ax, ax)
+    w = wigner(kitten, x, p)
+    xi, pi = np.meshgrid(ax, ax, indexing="ij")
+    layouts = {
+        "ij meshgrid": wigner(kitten, xi, pi).T,
+        "broadcast axes": wigner(kitten, ax[None, :], ax[:, None]),
+        "flat pairs": wigner(kitten, x.ravel(), p.ravel()).reshape(x.shape),
+    }
+    for name, other in layouts.items():
+        assert other.shape == w.shape, name
+        assert np.max(np.abs(other - w)) <= 1e-15, name
+    every_seventh = wigner(kitten, x.ravel()[::7], p.ravel()[::7])  # a per-point sum
+    assert np.max(np.abs(every_seventh - w.ravel()[::7])) <= 1e-15
+
+
+def test_wigner_grid_is_held_about_once():
+    rng = np.random.default_rng(12)
+    rho = FockDensityMatrix(nmax=12, entries=random_density_matrix(rng, 13))
+    ax = np.linspace(-6.0, 6.0, 201)
+    x, p = np.meshgrid(ax, ax)
+    wigner(rho, 0.0, 0.0)  # the per-dimension table is built once, outside the count
+    w, peak = traced_peak(lambda: wigner(rho, x, p))
+    assert w.shape == (201, 201)
+    assert peak <= 2e6  # the output is 0.32 MB
+
+
+def test_wigner_on_scattered_points_builds_no_pairwise_grid():
+    rng = np.random.default_rng(13)
+    rho = FockDensityMatrix(nmax=12, entries=random_density_matrix(rng, 13))
+    x, p = rng.uniform(-4.0, 4.0, (2, 4000))
+    wigner(rho, 0.0, 0.0)
+    w, peak = traced_peak(lambda: wigner(rho, x, p))
+    assert w.shape == (4000,)
+    assert peak <= 3e6  # a 4000 x 4000 grid of distinct pairs would be 128 MB
 
 
 def test_cat_state_norm_and_mean_photon():

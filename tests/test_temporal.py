@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 import re
@@ -71,6 +72,35 @@ def test_build_mode_keeps_the_mass_of_a_nearly_degenerate_mode(gap):
     mode = build_mode(KAPPA * (1.0 - gap), KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
     assert np.linalg.norm(mode.weights) == pytest.approx(1.0, rel=1e-12)
     assert abs(mode.tail_fraction) < 1e-60
+
+
+def reference_mode_weights(mode):
+    """The unit-norm weights of `mode` at its float times, in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        gamma, kappa, t0 = (decimal.Decimal(v) for v in (mode.gamma, mode.kappa, mode.t0))
+        vals = []
+        for t in mode.times:
+            tau = abs(decimal.Decimal(float(t)) - t0)
+            vals.append((-gamma * tau).exp() / gamma - (-kappa * tau).exp() / kappa)
+        norm = sum(v * v for v in vals).sqrt()
+        return np.array([float(v / norm) for v in vals])
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-12, 1e-14])
+def test_nearly_degenerate_mode_matches_an_extended_precision_reference(gap):
+    # the two exponentials of the mode cancelled: the weights were off by
+    # 1.2e-7, 1.9e-5 and 1.6e-3 at these gaps
+    mode = build_mode(KAPPA * (1.0 - gap), KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+    assert np.max(np.abs(mode.weights - reference_mode_weights(mode))) <= 1e-15
+
+
+def test_default_mode_keeps_its_weights():
+    mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+    tau = np.abs(mode.times - 0.5e-6)
+    direct = np.exp(-GAMMA * tau) / GAMMA - np.exp(-KAPPA * tau) / KAPPA
+    assert np.max(np.abs(mode.weights - direct / np.linalg.norm(direct))) <= 1e-15
+    assert np.max(np.abs(mode.weights - reference_mode_weights(mode))) <= 1e-15
 
 
 def traced_peak(call):
