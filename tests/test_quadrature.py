@@ -25,7 +25,7 @@ from kittensim import (
     save_samples_csv,
     variance_from_db,
 )
-from kittensim.quadrature import QuadratureDataset
+from kittensim.quadrature import SAMPLING_GRID, QuadratureDataset
 from kittensim.spectrum import dephased_variance
 
 from conftest import random_density_matrix
@@ -141,9 +141,10 @@ def test_sample_homodyne_rejects_repeated_tags(kitten, tags):
         sample_homodyne(kitten, tags, 10, [1, 2, 3])
 
 
-def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
-    # the wavefunction table on SAMPLING_GRID is built once per nmax: later
-    # draws and a whole bootstrap at the same nmax reuse it
+def test_sample_homodyne_evaluates_wavefunctions_once(kitten, lossy_kitten, monkeypatch):
+    # the marginal table on SAMPLING_GRID is built once per state, with one
+    # wavefunction evaluation: later draws and a whole bootstrap of the same
+    # state reuse it, and a second state builds its own
     import kittensim.quadrature as quadrature
 
     calls = []
@@ -151,7 +152,7 @@ def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
     monkeypatch.setattr(
         quadrature, "fock_wavefunctions", lambda *a: calls.append(a) or original(*a)
     )
-    quadrature._sampling_wavefunctions.cache_clear()
+    quadrature._marginal_table.cache_clear()
     sample_homodyne(kitten, np.radians([0.0, 30.0, 60.0, 90.0]), 10, [1, 2, 3, 4])
     assert len(calls) == 1
     sample_homodyne(kitten, [0.2, 0.7], [5, 8], [5, 6])
@@ -164,7 +165,85 @@ def test_sample_homodyne_evaluates_wavefunctions_once(kitten, monkeypatch):
         seed=1,
     )
     assert len(calls) == 1
-    assert not quadrature._sampling_wavefunctions(kitten.nmax).flags.writeable
+    sample_quadratures(lossy_kitten, 0.4, 10, seed=8)
+    sample_quadratures(kitten, 0.4, 10, seed=8)
+    assert len(calls) == 2
+    table = quadrature._marginal_table(kitten.entries.tobytes(), kitten.dim)
+    assert table.shape == (2 * kitten.dim - 1, SAMPLING_GRID.size)
+    assert not table.flags.writeable
+
+
+def _tapered_state(rng, nmax):
+    # a random state whose populations fall as 0.75**n keeps its marginals on the grid
+    taper = np.sqrt(0.75 ** np.arange(nmax + 1))
+    entries = taper[:, None] * random_density_matrix(rng, nmax + 1) * taper
+    return FockDensityMatrix(nmax=nmax, entries=entries / np.trace(entries).real)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 12, 19, 30])
+def test_homodyne_cdfs_match_the_marginal_pdf(nmax):
+    # the per-state cosine/sine table gives the CDFs that the rotated state's
+    # marginal_pdf, integrated by the same trapezoid sum, gives
+    rho = _tapered_state(np.random.default_rng(100 + nmax), nmax)
+    angles = [0.0, 0.3, math.pi / 2, 2.9, -1.1, 7.0]
+    dx = SAMPLING_GRID[1] - SAMPLING_GRID[0]
+    for cdf, theta in zip(homodyne_cdfs(rho, angles), angles):
+        pdf = np.clip(marginal_pdf(rho, theta, SAMPLING_GRID), 0.0, None)
+        expected = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
+        np.testing.assert_allclose(cdf, expected / expected[-1], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4000])
+@pytest.mark.parametrize("flat_tails", [False, True])
+def test_draws_are_the_lookup_of_the_unsorted_uniforms(kitten, count, flat_tails):
+    # the radix order only speeds the lookup: each draw is np.interp of its
+    # own uniform, bit for bit
+    cdf = homodyne_cdfs(kitten, [0.6])[0]
+    if flat_tails:
+        # repeated values: no mass below x = -2 or above x = 2 (indices 1500 and 2500)
+        cdf = np.clip((cdf - cdf[1500]) / (cdf[2500] - cdf[1500]), 0.0, 1.0)
+        assert (cdf == 0.0).sum() > 1 and (cdf == 1.0).sum() > 1
+    drawn = draw_homodyne(cdf[None], count, [17], [0.6]).values
+    uniform = np.random.default_rng(17).random(count)
+    np.testing.assert_array_equal(drawn, np.interp(uniform, cdf, SAMPLING_GRID))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(kitten, bad):
+    # a NaN angle used to give an all-NaN CDF: the mass test passed NaN
+    with pytest.raises(ValidationError):
+        homodyne_cdfs(kitten, [0.0, bad])
+    with pytest.raises(ValidationError):
+        sample_homodyne(kitten, [bad, 0.5], 10, [1, 2])
+    with pytest.raises(ValidationError):
+        sample_quadratures(kitten, bad, 10, seed=1)
+
+
+@pytest.mark.parametrize("count", [2.7, -0.5, -1, math.nan, math.inf, True, "3", [3, 1.5]])
+def test_counts_that_are_not_whole_numbers_are_rejected(kitten, count):
+    # count=2.7 used to draw 2 samples and count=-0.5 none, without a word
+    cdfs = homodyne_cdfs(kitten, [0.0, 0.5])
+    with pytest.raises(ValidationError):
+        draw_homodyne(cdfs, count, [1, 2], [0.0, 0.5])
+    if np.ndim(count) == 0:
+        with pytest.raises(ValidationError):
+            sample_quadratures(kitten, 0.5, count, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, None, True, "7"])
+def test_seeds_that_are_not_integers_are_rejected(kitten, seed):
+    with pytest.raises(ValidationError):
+        draw_homodyne(homodyne_cdfs(kitten, [0.0, 0.5]), 10, [1, seed], [0.0, 0.5])
+    with pytest.raises(ValidationError):
+        sample_quadratures(kitten, 0.5, 10, seed=seed)
+
+
+def test_whole_float_counts_and_numpy_seeds_draw_as_ints(kitten):
+    cdfs = homodyne_cdfs(kitten, [0.0, 0.5])
+    expected = draw_homodyne(cdfs, [3, 4], [1, 2], [0.0, 0.5])
+    again = draw_homodyne(cdfs, np.array([3.0, 4.0]), np.array([1, 2], np.uint32), [0.0, 0.5])
+    np.testing.assert_array_equal(again.values, expected.values)
+    np.testing.assert_array_equal(again.angles, expected.angles)
 
 
 def test_dataset_round_trip(tmp_path, kitten):
