@@ -87,6 +87,7 @@ from .pipeline import (
     ChannelSection,
     DetectionSection,
     ExperimentConfig,
+    OutputsSection,
     PipelineRun,
     ReconstructionSection,
     RunReport,

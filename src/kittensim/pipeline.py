@@ -13,7 +13,7 @@ import json
 import math
 import time
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .tomography import (
     bootstrap_metric,
     mle_reconstruct,
 )
-from .util import atomic_write_text, sha256_file
+from .util import atomic_write_text, require_int, sha256_file
 
 _BOOTSTRAP_SEED_OFFSET = 10_000_019
 
@@ -96,8 +96,7 @@ class SamplingSection:
             raise ValidationError(f"repeated sampling angle in {list(self.angles_deg)} deg")
         if self.per_angle_count < 1:
             raise ValidationError("per_angle_count must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        require_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -124,21 +123,22 @@ class ReconstructionSection:
 
 
 @dataclass(frozen=True)
+class OutputsSection:
+    directory: str = "run"  # the run directory; run_pipeline's out_dir replaces it
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     state: StateSection
     channel: ChannelSection = field(default_factory=ChannelSection)
     detection: DetectionSection = field(default_factory=DetectionSection)
     sampling: SamplingSection = field(default_factory=SamplingSection)
     reconstruction: ReconstructionSection = field(default_factory=ReconstructionSection)
-    outputs: str = "run"
+    outputs: OutputsSection = field(default_factory=OutputsSection)
 
 
-# the INI sections, in order: the dataclass fields of ExperimentConfig
-_SECTIONS = {
-    name: kind
-    for name, kind in typing.get_type_hints(ExperimentConfig).items()
-    if is_dataclass(kind)
-}
+# the INI sections, in order: the fields of ExperimentConfig
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_degrees(raw: str, tokens, distinct: bool = True) -> tuple[float, ...]:
@@ -184,7 +184,7 @@ def _parse_value(section: str, key: str, raw: str, kind):
             raise ValidationError(f"[{section}] {key}: expected a boolean, got {raw!r}")
         return value
     try:
-        return kind(raw)  # int or float
+        return kind(raw)  # int, float or str
     except ValueError as exc:
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"[{section}] {key}: expected {noun}, got {raw!r}") from exc
@@ -202,14 +202,6 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"config file not found: {path}")
     kwargs = {}
     for section in parser.sections():
-        if section == "outputs":
-            keys = dict(parser.items(section))
-            unknown = set(keys) - {"directory"}
-            if unknown:
-                raise ValidationError(f"[outputs] unknown keys: {sorted(unknown)}")
-            if "directory" in keys:
-                kwargs["outputs"] = keys["directory"]
-            continue
         cls = _SECTIONS.get(section)
         if cls is None:
             raise ValidationError(f"unknown config section [{section}]")
@@ -219,10 +211,16 @@ def load_config(path) -> ExperimentConfig:
             if key not in kinds:
                 raise ValidationError(f"[{section}] unknown key {key!r}")
             values[key] = _parse_value(section, key, raw, kinds[key])
-        kwargs[section] = cls(**values)
-    if "state" not in kwargs:
-        raise ValidationError("config must contain a [state] section")
-    return ExperimentConfig(**kwargs)
+        kwargs[section] = _build(cls, values, f"[{section}] missing key {{name!r}}")
+    return _build(ExperimentConfig, kwargs, "config must contain a [{name}] section")
+
+
+def _build(cls, values: dict, missing: str):
+    """cls(**values); a field with no default absent from values raises `missing` with its name."""
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(missing.format(name=f.name))
+    return cls(**values)
 
 
 def _format_value(value) -> str:
@@ -242,9 +240,7 @@ def save_config(config: ExperimentConfig, path) -> None:
         for key, value in asdict(getattr(config, section)).items():
             lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
-    lines.append("[outputs]")
-    lines.append(f"directory = {config.outputs}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +303,6 @@ class RunReport:
     metrics: dict
     manifest: dict
     timings_s: dict
-    out_dir: str
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -327,10 +322,12 @@ class PipelineRun:
 def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
     """Execute every stage and write the artifact set to the output directory.
 
-    Fixed config (including seed) gives byte-identical metrics.json and
-    identical manifest hashes across reruns.
+    An out_dir replaces config.outputs.directory, so the report names the directory
+    written. A fixed config gives byte-identical metrics.json and manifest hashes.
     """
-    out = Path(out_dir) if out_dir is not None else Path(config.outputs)
+    if out_dir is not None:
+        config = replace(config, outputs=OutputsSection(str(out_dir)))
+    out = Path(config.outputs.directory)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
@@ -409,7 +406,6 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
         metrics=metrics,
         manifest=manifest,
         timings_s=timings,
-        out_dir=str(out),
     )
     atomic_write_text(out / "report.json", report.to_json())
     return PipelineRun(
@@ -437,6 +433,9 @@ def verify_run_dir(run_dir) -> dict:
     if not isinstance(manifest, dict) or "metrics.json" not in manifest:
         raise ValidationError(f"{report_path}: the manifest does not list metrics.json")
     for name, digest in manifest.items():
+        # a name such as "../x" or "/x" would vouch for a file outside the run
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValidationError(f"manifest entry {name!r} is not a file name in {run_dir}")
         target = run_dir / name
         if not target.exists():
             raise ValidationError(f"artifact missing: {name}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fock import FockDensityMatrix, fock_wavefunctions
-from .util import read_csv, write_csv
+from .util import read_csv, require_int, write_csv
 
 # The fixed inverse-CDF sampling grid; a marginal with more than MASS_DEFICIT_TOL of
 # its mass off the grid is rejected, not truncated.
@@ -127,10 +127,6 @@ def homodyne_cdfs(rho: FockDensityMatrix, angles) -> np.ndarray:
     return cdfs
 
 
-def _is_seed(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
-
-
 def draw_homodyne(cdfs: np.ndarray, count, seeds, tags) -> QuadratureDataset:
     """Draw samples from the per-angle CDFs of `homodyne_cdfs` by inverse-CDF lookup.
 
@@ -148,8 +144,8 @@ def draw_homodyne(cdfs: np.ndarray, count, seeds, tags) -> QuadratureDataset:
     ):
         raise ValidationError(f"count must be a whole number >= 0, got {count!r}")
     counts = np.broadcast_to(counts.astype(int), tags.shape)
-    if not all(_is_seed(seed) for seed in seeds):
-        raise ValidationError("seeds must be integers >= 0")
+    for seed in seeds:
+        require_int(seed, "seed")
     # a set, not np.unique, which imports numpy.ma; 0.0 and -0.0 are one tag
     if len(set(tags.tolist())) != tags.size:
         raise ValidationError("repeated sampling angle: each angle is drawn once")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .util import read_csv, write_csv
+from .util import read_csv, require_int, write_csv
 
 TAIL_FRACTION_TOL = 1e-3
 _MIN_ENSEMBLE = 1000
@@ -276,10 +276,8 @@ def synthesize_gaussian_traces(
         raise ValidationError(
             "duration, sample_rate and their product must be positive and finite"
         )
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    require_int(count, "count", 1)
+    require_int(seed, "seed")
     n = int(round(duration * sample_rate))
     if n < 8:
         raise ValidationError("trace shorter than 8 samples")

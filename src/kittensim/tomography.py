@@ -26,7 +26,7 @@ from .quadrature import (
     homodyne_cdfs,
     marginal_variance,
 )
-from .util import match_angle
+from .util import match_angle, require_int
 
 # only guards against a zero or rounding-negative p (a nonzero POVM element's top eigenvalue
 # is above 1e-60 for nmax <= 40): weights <= 1 / PROB_FLOOR keep |R A|_F^2 finite to dim 1e4
@@ -100,15 +100,7 @@ class ReconstructionConfig:
     @property
     def povm_block(self) -> np.ndarray:
         """The read-only `_povm_block` of this grid, eta_correction and nmax, shared."""
-        return _shared_povm_block(self.bin_edges.tobytes(), self.eta_correction, self.nmax)
-
-
-@lru_cache(maxsize=2)
-def _shared_povm_block(edges: bytes, eta: float, nmax: int) -> np.ndarray:
-    """The read-only block of one (edges, eta, nmax); the last 2 used are kept."""
-    block = _povm_block(np.frombuffer(edges), eta, nmax)
-    block.flags.writeable = False
-    return block
+        return _povm_block(self.bin_edges.tobytes(), self.eta_correction, self.nmax)
 
 
 @dataclass(frozen=True)
@@ -160,15 +152,18 @@ def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> Bin
     )
 
 
-def _povm_block(edges: np.ndarray, eta: float, nmax: int) -> np.ndarray:
-    """Real, angle-independent POVM elements L_j, shape (n_bins + 2, dim, dim).
+@lru_cache(maxsize=2)
+def _povm_block(edges: bytes, eta: float, nmax: int) -> np.ndarray:
+    """Real, angle-independent POVM elements L_j, shape (n_bins + 2, dim, dim), read-only.
 
     L_j is the theta = 0 element of bin j with the detector efficiency folded
     in. The bin overlaps int_bin psi_m psi_n dx come from one wavefunction
     evaluation (16-node Gauss-Legendre per panel of width <= 0.5; the open
     edge bins are clipped where the wavefunctions have decayed to numerical
-    zero), and the adjoint loss channel is applied once per bin.
+    zero), and the adjoint loss channel is applied once per bin. `edges` are
+    the float64 bytes of the bin edges; the blocks of the last 2 keys are kept.
     """
+    edges = np.frombuffer(edges)
     d = nmax + 1
     far = max(10.0, math.sqrt(2.0 * nmax + 1.0) + 8.0)
     bounds = np.clip(np.concatenate([[-far], edges, [far]]), -far, far)
@@ -184,7 +179,9 @@ def _povm_block(edges: np.ndarray, eta: float, nmax: int) -> np.ndarray:
     )
     psi = fock_wavefunctions(nmax, xs.ravel()).reshape(d, *xs.shape)
     per_panel = np.einsum("mpg,pg,npg->pmn", psi, 0.5 * step * weights, psi)
-    return loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
+    block = loss_adjoint(np.add.reduceat(per_panel, first, axis=0), eta)
+    block.flags.writeable = False
+    return block
 
 
 def build_povm_stack(
@@ -198,7 +195,7 @@ def build_povm_stack(
     2004). The reconstruction iterates on the block and the phases directly;
     this full complex stack is for callers that want the elements themselves.
     """
-    block = _shared_povm_block(np.asarray(edges, dtype=float).tobytes(), eta, nmax)
+    block = _povm_block(np.asarray(edges, dtype=float).tobytes(), eta, nmax)
     phases = _angle_phases(angles, nmax + 1)
     return (phases[:, None] * block[None]).reshape(-1, nmax + 1, nmax + 1)
 
@@ -432,10 +429,8 @@ def bootstrap_metric(
     not converged (the `uncertified_reason`); each failure keeps its cause.
     Result is flagged invalid when more than 10% of resamples fail.
     """
-    if n_resamples < 2:
-        raise ValidationError("need at least 2 resamples")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    require_int(n_resamples, "n_resamples", 2)
+    require_int(seed, "seed")
     if not per_angle_counts or min(per_angle_counts.values()) < 1:
         raise ValidationError("per_angle_counts must be non-empty and positive")
     detected = (

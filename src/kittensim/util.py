@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes, the CSV codec, hashing and angle matching."""
+"""Small shared helpers: atomic writes, the CSV codec, hashing, integer checks, angle matching."""
 
 from __future__ import annotations
 
@@ -111,6 +111,14 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def require_int(value, name: str, minimum: int = 0) -> None:
+    """Raise ValidationError unless `value` is an int or numpy integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def match_angle(angle: float, candidates) -> float | None:

@@ -18,6 +18,7 @@ from kittensim import (
     ExperimentConfig,
     FockDensityMatrix,
     GaussianStateSpec,
+    OutputsSection,
     ReconstructionConfig,
     SpectrumData,
     SpectrumModelParams,
@@ -254,7 +255,7 @@ def test_criterion_5_pipeline_matches_reference_numbers(capsys, tmp_path):
             detection=local_cfg.detection,
             sampling=local_cfg.sampling,
             reconstruction=fast_recon,
-            outputs=str(tmp_path / f"local_{step}"),
+            outputs=OutputsSection(str(tmp_path / f"local_{step}")),
         )
         w_local = run_pipeline(cfg).report.metrics["w00_corrected"]
         if abs(w_local - target) <= 0.002:
@@ -272,7 +273,7 @@ def test_criterion_5_pipeline_matches_reference_numbers(capsys, tmp_path):
         detection=tx_cfg.detection,
         sampling=tx_cfg.sampling,
         reconstruction=replace(tx_cfg.reconstruction, bootstrap_resamples=0),
-        outputs=str(tmp_path / "transmitted"),
+        outputs=OutputsSection(str(tmp_path / "transmitted")),
     )
     metrics = run_pipeline(tx_run).report.metrics
     elapsed = time.perf_counter() - t0

@@ -588,6 +588,32 @@ def test_pipeline_and_report_cli(capsys, tmp_path):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_report_config_names_the_directory_the_run_wrote(capsys, tmp_path):
+    # report.json kept the INI directory in its config and --out in a second key
+    ini = tmp_path / "exp.ini"
+    save_config(small_config(tmp_path / "from_ini"), ini)
+    out = tmp_path / "from_flag"
+    rc, stdout, _ = run_cli(capsys, "pipeline", "--config", str(ini), "--out", str(out))
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report == json.loads(stdout)
+    assert report["config"]["outputs"] == {"directory": str(out)}
+    assert "out_dir" not in report
+    assert not (tmp_path / "from_ini").exists()
+
+
+def test_pipeline_config_without_a_state_key_exits_1(capsys, tmp_path):
+    # it used to end in StateSection's raw TypeError traceback
+    ini = tmp_path / "exp.ini"
+    save_config(small_config(tmp_path / "run"), ini)
+    ini.write_text(ini.read_text().replace("v_x_db = -2.0\n", ""))
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(ini))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {"error": "validation", "message": "[state] missing key 'v_x_db'"}
+    assert not (tmp_path / "run").exists()
+
+
 def test_pipeline_that_stops_short_prints_its_report_and_names_the_gap(capsys, tmp_path):
     ini = tmp_path / "exp.ini"
     save_config(small_config(tmp_path / "run", reconstruction=ReconstructionSection(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import MISSING, fields, replace
@@ -10,6 +11,7 @@ from kittensim import (
     ChannelSection,
     DetectionSection,
     ExperimentConfig,
+    OutputsSection,
     ReconstructionSection,
     SamplingSection,
     StateSection,
@@ -39,7 +41,7 @@ def small_config(outputs, **overrides):
         reconstruction=ReconstructionSection(
             nmax=8, max_iters=600, bootstrap_resamples=0
         ),
-        outputs=str(outputs),
+        outputs=OutputsSection(str(outputs)),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -73,9 +75,9 @@ def test_config_ini_round_trip_of_every_key(tmp_path):
             nmax=9, bin_width=0.25, bin_min=-5.0, bin_max=7.0, max_iters=321,
             gap_tol=0.003, bootstrap_resamples=7,
         ),
-        outputs=str(tmp_path / "elsewhere"),
+        outputs=OutputsSection(str(tmp_path / "elsewhere")),
     )
-    sections = [getattr(config, f.name) for f in fields(config) if f.name != "outputs"]
+    sections = [getattr(config, f.name) for f in fields(config)]
     for owner in (config, *sections):
         for f in fields(owner):
             assert f.default is MISSING or getattr(owner, f.name) != f.default, f.name
@@ -114,6 +116,41 @@ def test_config_requires_state_section(tmp_path):
     path.write_text("[channel]\nlink_eta = 0.9\n")
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[state]\nv_p_db = 2.4\n", "[state] missing key 'v_x_db'"),
+     ("[state]\nv_x_db = -2.0\n\n[outputs]\ndirectory = x\n", "[state] missing key 'v_p_db'"),
+     ("[state]\n", "[state] missing key 'v_x_db'"),
+     ("[outputs]\ndirectory = x\n", "config must contain a [state] section")],
+)
+def test_config_missing_key_is_a_validation_error(tmp_path, text, message):
+    # a [state] section without a key used to end in StateSection's raw TypeError
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert str(err.value) == message
+
+
+def test_config_outputs_section_is_typed_like_the_others(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[outputs]\ndirectory = runs/a b\n")
+    assert load_config(path).outputs == OutputsSection("runs/a b")
+    path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n")
+    assert load_config(path).outputs == OutputsSection() == OutputsSection("run")
+    path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[outputs]\nfolder = x\n")
+    with pytest.raises(ValidationError, match="\\[outputs\\] unknown key 'folder'"):
+        load_config(path)
+
+
+def test_save_config_ends_with_the_outputs_section(tmp_path):
+    path = tmp_path / "exp.ini"
+    save_config(small_config("runs/x"), path)
+    text = path.read_text()
+    assert text.endswith("\n\n[outputs]\ndirectory = runs/x\n")
+    assert text.count("\n\n") == 5
 
 
 def test_config_rejects_bad_boolean(tmp_path):
@@ -208,6 +245,13 @@ def test_config_rejects_a_negative_seed(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "7", None])
+def test_sampling_section_rejects_a_seed_that_is_not_an_integer(seed):
+    # it was accepted, and the run then ended in numpy's raw TypeError
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        SamplingSection(seed=seed)
+
+
 def test_sampling_section_rejects_repeated_angles():
     with pytest.raises(ValidationError):
         SamplingSection(angles_deg=(0.0, 30.0, 0.0))
@@ -290,6 +334,22 @@ def test_verify_reports_missing_artifact(tmp_path):
     (out / "rho_source.json").unlink()
     with pytest.raises(ValidationError):
         verify_run_dir(out)
+
+
+def test_verify_rejects_manifest_names_outside_the_run(tmp_path):
+    # each entry's digest is right, so both used to verify
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not part of the run")
+    digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+    report = json.loads((out / "report.json").read_text())
+    for name in (str(outside), "../outside.txt"):
+        (out / "report.json").write_text(
+            json.dumps({**report, "manifest": {**report["manifest"], name: digest}})
+        )
+        with pytest.raises(ValidationError, match="is not a file name in"):
+            verify_run_dir(out)
 
 
 def test_verify_returns_the_hashed_metrics(tmp_path):

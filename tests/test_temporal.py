@@ -334,6 +334,19 @@ def test_synthesis_rejects_a_negative_seed():
         synthesize_gaussian_traces(flat_half, 1.0e-6, FS, 4, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "count, seed, message",
+    [(4, 1.5, "seed must be an integer, got 1.5"),
+     (4, False, "seed must be an integer, got False"),
+     (2.5, 1, "count must be an integer, got 2.5"),
+     (4.0, 1, "count must be an integer, got 4.0")],
+)
+def test_synthesis_rejects_a_seed_or_count_that_is_not_an_integer(count, seed, message):
+    # 1.5, 2.5 and 4.0 ended in numpy's or Python's raw TypeError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        synthesize_gaussian_traces(flat_half, 1.0e-6, FS, count, seed=seed)
+
+
 def test_periodogram_rejects_a_single_trace():
     with pytest.raises(ValidationError, match="periodogram expects a 2-D ensemble"):
         periodogram(np.zeros(8), FS)

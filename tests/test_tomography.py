@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -320,6 +322,20 @@ def test_bootstrap_rejects_a_negative_seed(lossy_kitten):
 
 
 @pytest.mark.parametrize(
+    "arguments, message",
+    [({"seed": 1.5}, "seed must be an integer, got 1.5"),
+     ({"seed": True}, "seed must be an integer, got True"),
+     ({"n_resamples": 2.5}, "n_resamples must be an integer, got 2.5"),
+     ({"n_resamples": 1}, "n_resamples must be >= 2, got 1")],
+)
+def test_bootstrap_rejects_a_seed_or_size_that_is_no_integer(lossy_kitten, arguments, message):
+    # 1.5 and 2.5 ended in numpy's or Python's raw TypeError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        bootstrap_metric(lossy_kitten, ReconstructionConfig(nmax=6),
+                         per_angle_counts={0.0: 10}, **{"n_resamples": 2, **arguments})
+
+
+@pytest.mark.parametrize(
     "overrides",
     [{0.0: math.nan}, {0.0: math.inf}, {math.nan: 0.0}, {-math.inf: 0.0}],
 )
@@ -621,19 +637,25 @@ def test_bootstrap_draws_at_override_angles(lossy_kitten):
 
 @pytest.fixture
 def povm_block_calls(monkeypatch):
-    """The arguments of each `_povm_block` call, with no block kept before or after."""
+    """The (edges, eta, nmax) of each POVM block built, with no block kept before or after.
+
+    Each build applies `loss_adjoint` once, with eta as its second argument,
+    and a block the cache returns applies none; the edges are the build's
+    own, read from its frame.
+    """
     calls = []
-    original = tomography._povm_block
+    original = tomography.loss_adjoint
 
-    def counting_block(*args):
-        calls.append(args)
-        return original(*args)
+    def counting_adjoint(op, eta):
+        edges = sys._getframe(1).f_locals["edges"]
+        calls.append((edges, eta, op.shape[-1] - 1))
+        return original(op, eta)
 
-    monkeypatch.setattr(tomography, "_povm_block", counting_block)
+    monkeypatch.setattr(tomography, "loss_adjoint", counting_adjoint)
     # blocks are shared process-wide: a block an earlier test built must not count
-    tomography._shared_povm_block.cache_clear()
+    tomography._povm_block.cache_clear()
     yield calls
-    tomography._shared_povm_block.cache_clear()
+    tomography._povm_block.cache_clear()
 
 
 def test_bootstrap_shares_the_config_povm_block(lossy_kitten, povm_block_calls):
