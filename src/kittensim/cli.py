@@ -51,7 +51,7 @@ from .temporal import (
     TimeTrace,
 )
 from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct, uncertified_reason
-from .util import atomic_write_text, write_csv
+from .util import atomic_write_text, require_int, write_csv
 
 _GAMMA_MHZ = 8.0  # default OPO decay rate gamma / 2 pi, in MHz
 
@@ -205,8 +205,7 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_wigner_grid(args) -> None:
-    if args.points < 2:
-        raise ValidationError(f"--points must be at least 2, got {args.points}")
+    require_int(args.points, "--points", 2)
     if not (math.isfinite(args.range) and args.range > 0.0):
         raise ValidationError(f"--range must be a finite positive number, got {args.range}")
     rho = load_density_matrix(args.rho)

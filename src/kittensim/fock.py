@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .util import atomic_write_text
+from .util import atomic_write_text, require_int
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -120,7 +120,10 @@ def variance_from_db(db: float) -> float:
 
     Negative dB = squeezing below the 1/2 vacuum level, e.g. -2.0 dB -> 0.31548.
     """
-    return 0.5 * 10.0 ** (db / 10.0)
+    try:
+        return 0.5 * 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"{db!r} dB is too large a variance to represent") from None
 
 
 def db_from_variance(variance: float) -> float:
@@ -166,8 +169,7 @@ def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix
     padded space, then cut back to nmax). Raises NumericsError if the truncated
     trace deficit exceeds GAUSSIAN_TRACE_DEFICIT_TOL.
     """
-    if nmax < 1:
-        raise ValidationError("nmax must be >= 1")
+    require_int(nmax, "nmax", 1)
     dim_work = nmax + 1 + _CONSTRUCTOR_PAD
     nbar = math.sqrt(spec.v_x * spec.v_p) - 0.5
     r = 0.25 * math.log(spec.v_p / spec.v_x)
@@ -221,8 +223,7 @@ def cat_state(alpha: float, nmax: int) -> np.ndarray:
     """
     if not 0.0 <= alpha < math.inf:
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
-    if nmax < 1:
-        raise ValidationError("the odd cat needs nmax >= 1")
+    require_int(nmax, "nmax", 1)
     if alpha == 0.0:
         return np.eye(nmax + 1)[1]
     coeff = _cat_amplitudes([alpha], nmax + 1)[0]

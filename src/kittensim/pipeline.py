@@ -53,12 +53,19 @@ class StateSection:
     nmax: int = 20
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.v_x_db) and math.isfinite(self.v_p_db)):
-            raise ValidationError("v_x_db and v_p_db must be finite")
+        self.to_spec()  # the variance and uncertainty checks of the state itself
+        if not isinstance(self.subtract, bool):
+            raise ValidationError(f"subtract must be a bool, got {self.subtract!r}")
         if not 0.0 <= self.purity_mix <= 1.0:
             raise ValidationError("purity_mix must lie in [0, 1]")
-        if self.nmax < 2:
-            raise ValidationError("state nmax must be >= 2")
+        require_int(self.nmax, "state nmax", 2)
+
+    def to_spec(self) -> GaussianStateSpec:
+        """The Gaussian state v_x_db and v_p_db describe; an error names both values."""
+        try:
+            return GaussianStateSpec(variance_from_db(self.v_x_db), variance_from_db(self.v_p_db))
+        except ValidationError as exc:
+            raise ValidationError(f"v_x_db {self.v_x_db}, v_p_db {self.v_p_db}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,8 @@ class DetectionSection:
     def __post_init__(self) -> None:
         if not 0.0 < self.hd_eta <= 1.0:
             raise ValidationError("hd_eta must lie in (0, 1]")
+        if not isinstance(self.correct_loss, bool):
+            raise ValidationError(f"correct_loss must be a bool, got {self.correct_loss!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,7 @@ class SamplingSection:
             raise ValidationError("need at least one sampling angle")
         if len(set(self.angles_deg)) != len(self.angles_deg):
             raise ValidationError(f"repeated sampling angle in {list(self.angles_deg)} deg")
-        if self.per_angle_count < 1:
-            raise ValidationError("per_angle_count must be >= 1")
+        require_int(self.per_angle_count, "per_angle_count", 1)
         require_int(self.seed, "seed")
 
 
@@ -113,8 +121,7 @@ class ReconstructionSection:
 
     def __post_init__(self) -> None:
         self.to_config()  # the grid and stopping-rule checks of the reconstruction itself
-        if self.bootstrap_resamples < 0:
-            raise ValidationError("bootstrap_resamples must be >= 0")
+        require_int(self.bootstrap_resamples, "bootstrap_resamples")
 
     def to_config(self, eta_correction: float = 1.0) -> ReconstructionConfig:
         recon = asdict(self)
@@ -192,8 +199,8 @@ def _parse_value(section: str, key: str, raw: str, kind):
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an INI experiment config; unknown keys are errors."""
-    # no interpolation: a value holding "%" reads back as save_config wrote it
-    parser = configparser.ConfigParser(interpolation=None)
+    # no interpolation: "%" reads back as save_config wrote it; [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -254,10 +261,7 @@ def simulate_source_state(state: StateSection) -> tuple[FockDensityMatrix, float
     With 0 < purity_mix < 1 the output models imperfect heralding: a convex mix
     of the subtracted state and the unsubtracted background.
     """
-    spec = GaussianStateSpec(
-        variance_from_db(state.v_x_db), variance_from_db(state.v_p_db)
-    )
-    rho_sqz = gaussian_state(spec, nmax=state.nmax)
+    rho_sqz = gaussian_state(state.to_spec(), nmax=state.nmax)
     if not state.subtract:
         return rho_sqz, None
     rho_sub, weight = photon_subtract(rho_sqz)

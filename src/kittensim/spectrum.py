@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .util import match_angle, read_csv, write_csv
+from .util import lookup_angle, match_angle, read_csv, write_csv
 
 _FIXED_ANGLES = (0.0, math.pi / 2)
 _SPECTRUM_HEADER = ("freq_hz", "angle_deg", "variance_snu")
@@ -93,10 +93,7 @@ class SpectrumModelParams:
                 )
 
     def true_angle(self, nominal: float) -> float:
-        key = match_angle(nominal, self.theta_true)
-        if key is None:
-            raise ValidationError(f"no entry for nominal angle {math.degrees(nominal):.4f} deg")
-        return self.theta_true[key]
+        return lookup_angle(self.theta_true, nominal)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .quadrature import (
     homodyne_cdfs,
     marginal_variance,
 )
-from .util import match_angle, require_int
+from .util import lookup_angle, match_angle, require_int
 
 # only guards against a zero or rounding-negative p (a nonzero POVM element's top eigenvalue
 # is above 1e-60 for nmax <= 40): weights <= 1 / PROB_FLOOR keep |R A|_F^2 finite to dim 1e4
@@ -85,12 +85,12 @@ class ReconstructionConfig:
                 f"bin_width {self.bin_width!r} does not tile [{self.bin_min!r}, "
                 f"{self.bin_max!r}]: the span is {widths:.6g} widths"
             )
-        if self.nmax < 1:
-            raise ValidationError("nmax must be >= 1")
+        require_int(self.nmax, "nmax", 1)
+        require_int(self.max_iters, "max_iters", 1)
         if not 0.0 < self.eta_correction <= 1.0:
             raise ValidationError("eta_correction must lie in (0, 1]")
-        if self.max_iters < 1 or not 0.0 < self.gap_tol < math.inf:
-            raise ValidationError("max_iters must be >= 1 and gap_tol positive and finite")
+        if not 0.0 < self.gap_tol < math.inf:
+            raise ValidationError("gap_tol must be positive and finite")
         overrides = self.angle_overrides or {}
         if not all(map(math.isfinite, [*overrides, *overrides.values()])):
             raise ValidationError("angle_overrides must map finite angles to finite angles")
@@ -219,16 +219,7 @@ def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) ->
                 f"angle override table names nominal angle {math.degrees(nominal):.4f} deg, "
                 "which has no samples"
             )
-    resolved = np.empty_like(angles)
-    for i, nominal in enumerate(angles):
-        key = match_angle(nominal, overrides)
-        if key is None:
-            raise ValidationError(
-                f"angle override table is missing nominal angle "
-                f"{math.degrees(nominal):.4f} deg"
-            )
-        resolved[i] = overrides[key]
-    return resolved
+    return np.array([lookup_angle(overrides, nominal) for nominal in angles], dtype=float)
 
 
 def mle_reconstruct(

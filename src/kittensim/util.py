@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes, the CSV codec, hashing, integer checks, angle matching."""
+"""Small shared helpers: atomic writes, the CSV codec, hashing, integer checks, angle tables."""
 
 from __future__ import annotations
 
@@ -127,3 +127,11 @@ def match_angle(angle: float, candidates) -> float | None:
         if abs(candidate - angle) < ANGLE_TOL:
             return candidate
     return None
+
+
+def lookup_angle(table: dict[float, float], nominal: float) -> float:
+    """The value `table` holds for the nominal angle `nominal` (radians), matched by match_angle."""
+    key = match_angle(nominal, table)
+    if key is None:
+        raise ValidationError(f"no entry for nominal angle {math.degrees(nominal):.4f} deg")
+    return table[key]

@@ -86,7 +86,9 @@ def test_simulate_state_truncation_failure_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--phase-sigma-deg", "nan"), ("--phase-sigma-deg", "inf"), ("--vx-db", "nan")]
+    "flag, value",
+    [("--phase-sigma-deg", "nan"), ("--phase-sigma-deg", "inf"), ("--vx-db", "nan"),
+     ("--vx-db", "4000")],
 )
 def test_simulate_state_rejects_non_finite_flags(capsys, tmp_path, flag, value):
     # nan phase noise used to be dropped, inf phase noise and a nan variance to give a NaN state
@@ -338,7 +340,7 @@ def test_wigner_grid_normalization(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--points", "0"), ("--points", "-3"), ("--points", "1"),
+    [("--points", "0"), ("--points", "-3"), ("--points", "1"), ("--points", "2.5"),
      ("--range", "nan"), ("--range", "inf"), ("--range", "-2"), ("--range", "0")],
 )
 def test_wigner_grid_rejects_bad_grid_flags(capsys, tmp_path, flag, value):
@@ -763,6 +765,28 @@ def test_a_malformed_config_exits_1(capsys, tmp_path, text):
     error = json.loads(err)
     assert error["error"] == "validation"
     assert error["message"].startswith(f"{ini}: malformed config (")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[DEFAULT]\nnmax = 9\n\n[state]\nv_x_db = -2.0\nv_p_db = 2.4\n",
+     "unknown config section [DEFAULT]"),
+    ("[state]\nv_x_db = 4000\nv_p_db = 2.4\n", "4000.0 dB is too large a variance"),
+    ("[state]\nv_x_db = -3.0\nv_p_db = 1.0\n", "violates the uncertainty bound 1/4"),
+], ids=["default-section", "overflowing-db", "below-uncertainty"])
+def test_a_config_that_describes_no_run_exits_1_and_writes_nothing(capsys, tmp_path, text,
+                                                                   message):
+    # [DEFAULT] ran with its keys copied into every section, 4000 dB ended in a raw
+    # OverflowError, and the state below the bound failed after the run directory was made
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(ini), "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert message in error["message"]
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -11,12 +12,16 @@ from kittensim import (
     ChannelSection,
     DetectionSection,
     ExperimentConfig,
+    GaussianStateSpec,
     OutputsSection,
+    ReconstructionConfig,
     ReconstructionSection,
     SamplingSection,
     StateSection,
     ValidationError,
     apply_link,
+    cat_state,
+    gaussian_state,
     load_config,
     load_samples_csv,
     loss_channel,
@@ -102,6 +107,56 @@ def test_config_rejects_unknown_section(tmp_path):
     path.write_text("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[detector]\nhd_eta = 0.9\n")
     with pytest.raises(ValidationError):
         load_config(path)
+
+
+def test_config_rejects_a_default_section(tmp_path):
+    # configparser copied its keys into every section: this loaded with state.nmax = 9
+    path = tmp_path / "bad.ini"
+    path.write_text("[DEFAULT]\nnmax = 9\n\n[state]\nv_x_db = -2.0\nv_p_db = 2.4\n")
+    with pytest.raises(ValidationError, match=re.escape("unknown config section [DEFAULT]")):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "v_x_db, v_p_db, message",
+    [(4000.0, 2.4, "v_x_db 4000.0, v_p_db 2.4: 4000.0 dB is too large a variance"),
+     (-3.0, 1.0, "v_x_db -3.0, v_p_db 1.0: v_x*v_p = 0.157739 violates the uncertainty bound")],
+)
+def test_config_rejects_a_state_that_cannot_be_built(tmp_path, v_x_db, v_p_db, message):
+    # 4000 dB ended in a raw OverflowError; the state below the bound loaded, and the
+    # run then failed after it had made the run directory
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[state]\nv_x_db = {v_x_db}\nv_p_db = {v_p_db}\n")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "build, arguments, message",
+    [(StateSection, {"v_x_db": -2.0, "v_p_db": 2.4, "nmax": 2.5}, "state nmax"),
+     (SamplingSection, {"per_angle_count": 2.5}, "per_angle_count"),
+     (ReconstructionSection, {"bootstrap_resamples": 2.5}, "bootstrap_resamples"),
+     (ReconstructionSection, {"nmax": 2.5}, "nmax"),
+     (ReconstructionConfig, {"nmax": 2.5}, "nmax"),
+     (ReconstructionConfig, {"max_iters": 2.5}, "max_iters"),
+     (gaussian_state, {"spec": GaussianStateSpec(0.5, 0.5), "nmax": 2.5}, "nmax"),
+     (cat_state, {"alpha": 0.5, "nmax": 2.5}, "nmax")],
+    ids=["state-nmax", "per-angle-count", "bootstrap-resamples", "section-nmax",
+         "config-nmax", "max-iters", "gaussian-state-nmax", "cat-state-nmax"],
+)
+def test_a_size_or_count_that_is_not_an_integer_is_rejected(build, arguments, message):
+    # each was accepted, and the run then ended in a raw TypeError
+    with pytest.raises(ValidationError, match=re.escape(f"{message} must be an integer, got 2.5")):
+        build(**arguments)
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+def test_flags_must_be_bools(flag):
+    # "no" and "false" were accepted and read as true
+    with pytest.raises(ValidationError, match="correct_loss must be a bool"):
+        DetectionSection(hd_eta=0.88, correct_loss=flag)
+    with pytest.raises(ValidationError, match="subtract must be a bool"):
+        StateSection(v_x_db=-2.0, v_p_db=2.4, subtract=flag)
 
 
 def test_config_rejects_unknown_key(tmp_path):

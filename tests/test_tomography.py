@@ -17,6 +17,7 @@ from kittensim import (
     NumericsError,
     QuadratureDataset,
     ReconstructionConfig,
+    SpectrumModelParams,
     ValidationError,
     apply_link,
     bin_dataset,
@@ -312,6 +313,18 @@ def test_angle_overrides_must_cover_dataset(lossy_kitten):
         bootstrap_metric(lossy_kitten, replace(config, angle_overrides=extra),
                          per_angle_counts=dict.fromkeys(np.unique(dataset.angles), 500),
                          n_resamples=2, seed=0)
+
+
+def test_a_missing_nominal_angle_raises_the_one_angle_table_message(lossy_kitten):
+    # the reconstruction and the spectrum model each wrote their own message
+    dataset = small_dataset(lossy_kitten, (0.0, 60.0), 200, seed=9)
+    with pytest.raises(ValidationError) as recon:
+        reconstruct_with_angles(dataset, ReconstructionConfig(nmax=6), {0.0: 0.0})
+    params = SpectrumModelParams(gamma=1.0, epsilon=0.5, eta=0.5, sigma=0.0,
+                                 theta_true={0.0: 0.0})
+    with pytest.raises(ValidationError) as fit:
+        params.true_angle(math.radians(60.0))
+    assert str(recon.value) == str(fit.value) == "no entry for nominal angle 60.0000 deg"
 
 
 def test_bootstrap_rejects_a_negative_seed(lossy_kitten):
