@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .pipeline import (
     apply_link,
     detect_and_sample,
     load_config,
+    new_output_dir,
     parse_angle_list,
     parse_angle_pairs,
     run_pipeline,
@@ -140,6 +140,7 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_synth_traces(args) -> None:
+    out = new_output_dir(args.out_dir)
     gamma = _rad_per_s(args.gamma_mhz)
     epsilon = _rad_per_s(args.epsilon_mhz)
     if args.spectrum == "flat":
@@ -152,8 +153,6 @@ def _cmd_synth_traces(args) -> None:
         spectrum, duration=args.duration_us * 1e-6, sample_rate=fs, count=args.count,
         seed=args.seed,
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for i in range(traces.shape[0]):
         save_trace_csv(TimeTrace(fs, traces[i]), out / f"trace_{i:05d}.csv")
     _emit({
@@ -256,12 +255,8 @@ def _cmd_pipeline(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    report = verify_run_dir(args.run)
-    _emit({
-        "run": str(args.run),
-        "hashes_ok": True,
-        "metrics": report.get("metrics", {}),
-    })
+    metrics = verify_run_dir(args.run)["metrics"]
+    _emit({"run": str(args.run), "hashes_ok": True, "metrics": metrics})
 
 
 # ---------------------------------------------------------------------------

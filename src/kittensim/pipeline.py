@@ -122,6 +122,8 @@ class ReconstructionSection:
     def __post_init__(self) -> None:
         self.to_config()  # the grid and stopping-rule checks of the reconstruction itself
         require_int(self.bootstrap_resamples, "bootstrap_resamples")
+        if self.bootstrap_resamples == 1:  # a std needs two resamples
+            raise ValidationError("bootstrap_resamples must be 0 (no bootstrap) or >= 2, got 1")
 
     def to_config(self, eta_correction: float = 1.0) -> ReconstructionConfig:
         recon = asdict(self)
@@ -323,16 +325,23 @@ class PipelineRun:
     bootstrap: BootstrapResult | None
 
 
+def new_output_dir(path) -> Path:
+    """`path` as a Path, which must be absent or an empty directory: output never merges."""
+    path = Path(path)
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise ValidationError(f"{path} is in use: the output needs a new or empty directory")
+    return path
+
+
 def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
-    """Execute every stage and write the artifact set to the output directory.
+    """Execute every stage, then write the artifact set to a new or empty output directory.
 
     An out_dir replaces config.outputs.directory, so the report names the directory
     written. A fixed config gives byte-identical metrics.json and manifest hashes.
     """
     if out_dir is not None:
         config = replace(config, outputs=OutputsSection(str(out_dir)))
-    out = Path(config.outputs.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = new_output_dir(config.outputs.directory)
     timings: dict[str, float] = {}
 
     @contextlib.contextmanager
@@ -424,7 +433,7 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
 
 
 def verify_run_dir(run_dir) -> dict:
-    """Re-hash the artifacts listed in a run's report; raise on any mismatch.
+    """Raise unless the run's files are exactly report.json and its manifest, each hash matching.
 
     The manifest must list metrics.json; the returned report carries its metrics.
     """
@@ -436,14 +445,12 @@ def verify_run_dir(run_dir) -> dict:
     manifest = report.get("manifest")
     if not isinstance(manifest, dict) or "metrics.json" not in manifest:
         raise ValidationError(f"{report_path}: the manifest does not list metrics.json")
+    files = {entry.name for entry in run_dir.iterdir()} - {"report.json"}
+    missing, unlisted = sorted(manifest.keys() - files), sorted(files - manifest.keys())
+    if missing or unlisted:
+        raise ValidationError(f"{run_dir} is not one run: missing {missing}, unlisted {unlisted}")
     for name, digest in manifest.items():
-        # a name such as "../x" or "/x" would vouch for a file outside the run
-        if name in ("", ".", "..") or Path(name).name != name:
-            raise ValidationError(f"manifest entry {name!r} is not a file name in {run_dir}")
-        target = run_dir / name
-        if not target.exists():
-            raise ValidationError(f"artifact missing: {name}")
-        actual = sha256_file(target)
+        actual = sha256_file(run_dir / name)
         if actual != digest:
             raise ValidationError(f"artifact hash mismatch for {name}: {actual} != {digest}")
     report["metrics"] = _read_json_object(run_dir / "metrics.json")

@@ -773,11 +773,14 @@ def test_a_malformed_config_exits_1(capsys, tmp_path, text):
      "unknown config section [DEFAULT]"),
     ("[state]\nv_x_db = 4000\nv_p_db = 2.4\n", "4000.0 dB is too large a variance"),
     ("[state]\nv_x_db = -3.0\nv_p_db = 1.0\n", "violates the uncertainty bound 1/4"),
-], ids=["default-section", "overflowing-db", "below-uncertainty"])
+    ("[state]\nv_x_db = -2.0\nv_p_db = 2.4\n\n[reconstruction]\nbootstrap_resamples = 1\n",
+     "bootstrap_resamples must be 0 (no bootstrap) or >= 2, got 1"),
+], ids=["default-section", "overflowing-db", "below-uncertainty", "one-bootstrap-resample"])
 def test_a_config_that_describes_no_run_exits_1_and_writes_nothing(capsys, tmp_path, text,
                                                                    message):
     # [DEFAULT] ran with its keys copied into every section, 4000 dB ended in a raw
-    # OverflowError, and the state below the bound failed after the run directory was made
+    # OverflowError, and the state below the bound and the single bootstrap resample
+    # failed after the run directory was made
     ini = tmp_path / "exp.ini"
     ini.write_text(text)
     out = tmp_path / "out"
@@ -788,6 +791,88 @@ def test_a_config_that_describes_no_run_exits_1_and_writes_nothing(capsys, tmp_p
     assert error["error"] == "validation"
     assert message in error["message"]
     assert not out.exists()
+
+
+IN_USE = "is in use: the output needs a new or empty directory"
+
+
+def test_a_stage_that_fails_leaves_no_run_directory(capsys, tmp_path):
+    # the run directory was made before the first stage ran, and was left empty
+    ini = tmp_path / "exp.ini"
+    out = tmp_path / "run"
+    save_config(small_config(out, state=StateSection(v_x_db=-2.0, v_p_db=2.4, nmax=8)), ini)
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(ini), "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert "truncation at nmax=8" in json.loads(err)["message"]
+    assert not out.exists()
+
+
+def test_a_second_pipeline_into_its_directory_exits_1_and_keeps_the_first_run(capsys, tmp_path):
+    # the uncorrected second run left the first run's rho_corrected.json beside a
+    # manifest that did not list it, and `report` vouched for the directory
+    out = tmp_path / "run"
+    for correct_loss in (True, False):
+        detection = DetectionSection(hd_eta=0.88, correct_loss=correct_loss)
+        save_config(small_config(out, detection=detection), tmp_path / f"{correct_loss}.ini")
+    rc, _, _ = run_cli(capsys, "pipeline", "--config", str(tmp_path / "True.ini"))
+    assert rc == 0
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(tmp_path / "False.ini"))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {"error": "validation", "message": f"{out} {IN_USE}"}
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+    rc, stdout, _ = run_cli(capsys, "report", "--run", str(out))
+    assert rc == 0
+    assert json.loads(stdout)["metrics"]["w00_corrected"] is not None
+
+
+def test_synth_traces_into_a_used_directory_exits_1_and_keeps_its_traces(capsys, tmp_path):
+    # 3 traces into a directory of 6 left 6 files, 3 of them from the other seed
+    out_dir = tmp_path / "traces"
+    argv = ("synth-traces", "--spectrum", "flat", "--out-dir", str(out_dir))
+    rc, _, _ = run_cli(capsys, *argv, "--count", "6", "--seed", "1")
+    assert rc == 0
+    first = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    rc, stdout, err = run_cli(capsys, *argv, "--count", "3", "--seed", "2")
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {"error": "validation", "message": f"{out_dir} {IN_USE}"}
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == first
+
+
+def _write_into(tmp_path, command, target):
+    """The argv of a `pipeline` or `synth-traces` run that writes into `target`."""
+    if command == "synth-traces":
+        return ["synth-traces", "--spectrum", "flat", "--count", "2", "--out-dir", str(target)]
+    ini = tmp_path / "exp.ini"
+    save_config(small_config(tmp_path / "run"), ini)
+    return ["pipeline", "--config", str(ini), "--out", str(target)]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth-traces"])
+def test_an_output_directory_that_is_a_file_exits_1(capsys, tmp_path, command):
+    # mkdir's FileExistsError ended the run, after synth-traces had done its work
+    target = tmp_path / "target"
+    target.write_text("a file")
+    rc, stdout, err = run_cli(capsys, *_write_into(tmp_path, command, target))
+    assert rc == 1
+    assert stdout == ""
+    assert json.loads(err) == {"error": "validation", "message": f"{target} {IN_USE}"}
+    assert target.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth-traces"])
+def test_an_existing_empty_output_directory_is_written(capsys, tmp_path, command):
+    # what `mktemp -d` hands a script
+    target = tmp_path / "target"
+    target.mkdir()
+    rc, _, _ = run_cli(capsys, *_write_into(tmp_path, command, target))
+    assert rc == 0
+    assert any(target.iterdir())
+    if command == "pipeline":
+        assert run_cli(capsys, "report", "--run", str(target))[0] == 0
 
 
 def test_extract_with_a_vanishing_gamma_exits_2(capsys, tmp_path):

@@ -403,8 +403,29 @@ def test_verify_rejects_manifest_names_outside_the_run(tmp_path):
         (out / "report.json").write_text(
             json.dumps({**report, "manifest": {**report["manifest"], name: digest}})
         )
-        with pytest.raises(ValidationError, match="is not a file name in"):
+        with pytest.raises(ValidationError, match=re.escape(f"missing [{name!r}], unlisted []")):
             verify_run_dir(out)
+
+
+def test_verify_rejects_a_file_the_manifest_does_not_list(tmp_path):
+    # a file beside the run, such as another run's rho_corrected.json, used to verify
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    report = json.loads((out / "report.json").read_text())
+    del report["manifest"]["rho_corrected.json"]
+    (out / "report.json").write_text(json.dumps(report))
+    with pytest.raises(ValidationError,
+                       match=re.escape("missing [], unlisted ['rho_corrected.json']")):
+        verify_run_dir(out)
+
+
+def test_one_bootstrap_resample_is_rejected():
+    # a std needs two resamples: 1 loaded, and the run failed in its bootstrap stage
+    message = "bootstrap_resamples must be 0 (no bootstrap) or >= 2, got 1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ReconstructionSection(bootstrap_resamples=1)
+    for resamples in (0, 2):
+        assert ReconstructionSection(bootstrap_resamples=resamples).bootstrap_resamples == resamples
 
 
 def test_verify_returns_the_hashed_metrics(tmp_path):
