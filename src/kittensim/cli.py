@@ -1,8 +1,8 @@
 """Command line interface for the kitten-state simulation toolkit.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 numerical failure
-(non-convergence / truncation budget exceeded). Errors are emitted as a JSON
-object on stderr so scripted callers can parse them.
+Exit codes: 0 success, 1 invalid input or usage, 2 numerical failure: a truncation budget
+exceeded, or an uncertified estimate (a reconstruction, a bootstrap with more than 10 % failed
+resamples, a fit) after its output is written. Errors are one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .temporal import (
     synthesize_gaussian_traces,
     TimeTrace,
 )
-from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct, uncertified_reason
+from .tomography import ReconstructionConfig, bootstrap_metric, mle_reconstruct
 from .util import atomic_write_text, require_int, write_csv
 
 _GAMMA_MHZ = 8.0  # default OPO decay rate gamma / 2 pi, in MHz
@@ -91,12 +91,14 @@ def _rad_per_s(mhz: float) -> float:
     return 2.0 * math.pi * mhz * 1e6
 
 
-def _emit(result, out=None) -> None:
-    """Print a JSON result (a dict, or text a library formatted); write it to `out` if given."""
+def _emit(result, out=None, uncertified: str | None = None) -> None:
+    """Print a JSON result (a dict or library text), write it to `out`; `uncertified` is exit 2."""
     text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True)
     if out:
         atomic_write_text(out, text)
     print(text)
+    if uncertified:
+        raise NumericsError(uncertified)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +200,7 @@ def _cmd_reconstruct(args) -> None:
         })
     result = mle_reconstruct(ds, config)
     save_density_matrix(result.rho, args.out_rho)
-    _emit({**result.metrics, "out_rho": str(args.out_rho)}, args.out_metrics)
-    if reason := uncertified_reason(result.metrics, config.gap_tol):
-        raise NumericsError(reason)
+    _emit({**result.metrics, "out_rho": str(args.out_rho)}, args.out_metrics, result.uncertified)
 
 
 def _cmd_wigner_grid(args) -> None:
@@ -224,9 +224,7 @@ def _cmd_wigner_grid(args) -> None:
 def _cmd_fit_spectrum(args) -> None:
     data = load_spectrum_csv(args.spectra, clearance_path=args.clearance)
     result = joint_fit(data, _rad_per_s(args.gamma_mhz), fit_db=args.fit_db)
-    _emit(fit_report_json(result), args.out)
-    if not result.converged:
-        raise NumericsError("fit did not converge")
+    _emit(fit_report_json(result), args.out, result.uncertified)
 
 
 def _cmd_bootstrap(args) -> None:
@@ -241,7 +239,7 @@ def _cmd_bootstrap(args) -> None:
     )
     receipt = asdict(boot)
     del receipt["values"]
-    _emit(receipt, args.out)
+    _emit(receipt, args.out, boot.uncertified)
 
 
 def _cmd_pipeline(args) -> None:
@@ -249,14 +247,16 @@ def _cmd_pipeline(args) -> None:
     if args.seed is not None:
         config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
-    _emit(run.report.to_json())
-    if reason := uncertified_reason(run.report.metrics, config.reconstruction.gap_tol):
-        raise NumericsError(reason)
+    primary, other = (run.corrected, run.uncorrected) if run.corrected else (run.uncorrected, None)
+    named = (("", primary), ("uncorrected reconstruction: ", other), ("bootstrap: ", run.bootstrap))
+    reasons = [name + est.uncertified for name, est in named if est and est.uncertified]
+    _emit(run.report.to_json(), uncertified=reasons[0] if reasons else None)
 
 
 def _cmd_report(args) -> None:
-    metrics = verify_run_dir(args.run)["metrics"]
-    _emit({"run": str(args.run), "hashes_ok": True, "metrics": metrics})
+    report = verify_run_dir(args.run)
+    _emit({"run": str(args.run), "hashes_ok": True, "metrics": report["metrics"],
+           "timings_s": report.get("timings_s")})
 
 
 # ---------------------------------------------------------------------------

@@ -464,13 +464,15 @@ def best_cat_fidelity(rho: FockDensityMatrix) -> tuple[float, float]:
 
     Two deterministic scans: alpha in [0.01, 2] in steps of 0.01, then steps
     of 1e-4 over the best point +/- 0.01, kept inside [0.01, 2].
-    Returns (alpha_star, fidelity_star).
+    Returns (alpha_star, fidelity_star); a best alpha of 2, the bound, is a NumericsError.
     """
     coarse = np.arange(1, 201) / 100
     best = 100 * (1 + int(np.argmax(_odd_cat_fidelities(rho, coarse))))  # in units of 1e-4
     fine = np.arange(max(best - 100, 100), min(best + 100, 20_000) + 1) / 1e4
     scores = _odd_cat_fidelities(rho, fine)
     k = int(np.argmax(scores))
+    if fine[k] == 2.0:
+        raise NumericsError("cat fit stalled on its bound alpha = 2: the best fit may lie beyond")
     return float(fine[k]), float(scores[k])
 
 

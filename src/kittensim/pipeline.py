@@ -439,13 +439,15 @@ def verify_run_dir(run_dir) -> dict:
     """
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
-    if not report_path.exists():
+    if not report_path.is_file():
         raise ValidationError(f"{run_dir} does not contain report.json")
     report = _read_json_object(report_path)
     manifest = report.get("manifest")
     if not isinstance(manifest, dict) or "metrics.json" not in manifest:
         raise ValidationError(f"{report_path}: the manifest does not list metrics.json")
     files = {entry.name for entry in run_dir.iterdir()} - {"report.json"}
+    if others := sorted(name for name in files if not (run_dir / name).is_file()):
+        raise ValidationError(f"{run_dir} is not one run: {others} are not files")
     missing, unlisted = sorted(manifest.keys() - files), sorted(files - manifest.keys())
     if missing or unlisted:
         raise ValidationError(f"{run_dir} is not one run: missing {missing}, unlisted {unlisted}")

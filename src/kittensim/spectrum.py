@@ -161,6 +161,10 @@ class FitResult:
     projected: bool
     per_angle_rms: dict[float, float]
 
+    @property
+    def uncertified(self) -> str | None:
+        return None if self.converged else "fit did not converge"
+
 
 def _box_least_squares(
     fun, x: np.ndarray, lower: np.ndarray, upper: np.ndarray

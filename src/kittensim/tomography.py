@@ -205,8 +205,9 @@ class ReconstructionResult:
     rho: FockDensityMatrix
     loglik_history: np.ndarray
     iterations_used: int
-    converged: bool
+    converged: bool  # uncertified is None
     metrics: dict
+    uncertified: str | None  # why the state is not certified; None when it is
 
 
 def _resolve_angles(angles: np.ndarray, overrides: dict[float, float] | None) -> np.ndarray:
@@ -245,9 +246,8 @@ def mle_reconstruct(
     not beat the current iterate's is replaced by G(A) and the pairs are
     dropped. The iteration stops once N (lambda_max(R) - 1), which bounds
     ll* - ll(rho) (Glancy, Knill & Girard, NJP 14, 095017, 2012), is at most
-    config.gap_tol (converged=False after max_iters); that gap is reported.
-    The bound needs tr(rho R) = 1, which fails for an observed bin of zero POVM
-    element (past the wavefunction cutoff): a state with such a bin is never converged.
+    config.gap_tol. `uncertified` names the gap left after max_iters steps, or an observed
+    bin of zero POVM element (past the wavefunction cutoff): it voids the bound's tr(rho R) = 1.
     The gap takes an eigvalsh of R, run on the last step and on steps that
     gain less than GAP_CHECK_GAIN of |log L|, except where the Rayleigh
     quotient v^dag R v at v, the top eigenvector of the last R whose gap was
@@ -334,7 +334,12 @@ def mle_reconstruct(
     floored_bins = int(np.count_nonzero(counts[:, zero]))
 
     state = FockDensityMatrix(nmax=config.nmax, entries=0.5 * (rho + rho.conj().T))
-    converged = gap <= config.gap_tol and floored_bins == 0
+    uncertified = None if gap <= config.gap_tol else (
+        f"reconstruction did not converge: gap {gap:.6g} above gap_tol "
+        f"{config.gap_tol:g} after {iters} iterations")
+    if floored_bins:  # the gap bounds nothing then, whatever its value
+        uncertified = (f"{floored_bins} observed bin(s) of zero model probability: no state in the "
+                       "Fock space explains them, so the reconstruction is not certified")
     metrics = {
         "w00": wigner_origin(state),
         "var_deg": {
@@ -344,7 +349,7 @@ def mle_reconstruct(
         "loglik": history[-1],
         "gap": gap,
         "iterations": iters,
-        "converged": converged,
+        "converged": uncertified is None,
         "floored_bins": floored_bins,
         "out_of_range_fraction": binned.out_of_range_fraction,
         "total_counts": int(total),
@@ -353,23 +358,9 @@ def mle_reconstruct(
         rho=state,
         loglik_history=np.asarray(history),
         iterations_used=iters,
-        converged=converged,
+        converged=uncertified is None,
         metrics=metrics,
-    )
-
-
-def uncertified_reason(metrics: dict, gap_tol: float) -> str | None:
-    """Why a reconstruction's metrics record is not converged, or None when it is."""
-    if metrics["converged"]:
-        return None
-    if metrics["floored_bins"]:
-        return (
-            f"{metrics['floored_bins']} observed bin(s) of zero model probability: no state "
-            "in the Fock space explains them, so the reconstruction is not certified"
-        )
-    return (
-        f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
-        f"{gap_tol:g} after {metrics['iterations']} iterations"
+        uncertified=uncertified,
     )
 
 
@@ -399,7 +390,13 @@ class BootstrapResult:
     n_resamples: int
     failures: int
     failure_causes: list[str]  # one per failed resample, in resample order
-    valid: bool
+    valid: bool  # uncertified is None
+
+    @property
+    def uncertified(self) -> str | None:
+        return None if self.valid else (
+            f"{self.failures} of {self.n_resamples} resamples failed (more than 10 %); "
+            f"the first: {self.failure_causes[0]}")
 
 
 def bootstrap_metric(
@@ -417,8 +414,8 @@ def bootstrap_metric(
     With config.angle_overrides the samples are drawn at the override (true)
     angles and tagged with the nominal ones, as the measured data were.
     A resample fails when its reconstruction raises ("Type: message") or is
-    not converged (the `uncertified_reason`); each failure keeps its cause.
-    Result is flagged invalid when more than 10% of resamples fail.
+    not certified (its `uncertified` reason); each failure keeps its cause.
+    The result is `uncertified` when more than 10% of resamples fail.
     """
     require_int(n_resamples, "n_resamples", 2)
     require_int(seed, "seed")
@@ -443,8 +440,8 @@ def bootstrap_metric(
         except KittenError as exc:
             causes.append(f"{type(exc).__name__}: {exc}")
             continue
-        if reason := uncertified_reason(result.metrics, config.gap_tol):
-            causes.append(reason)
+        if result.uncertified:
+            causes.append(result.uncertified)
         else:
             values.append(result.metrics["w00"])
     values = np.asarray(values)

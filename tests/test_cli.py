@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -39,6 +40,7 @@ from kittensim.temporal import load_trace_dir
 from test_fock import NOT_A_STATE
 from test_pipeline import small_config
 from test_spectrum import make_data, make_params
+from test_tomography import _stop_second_early
 
 
 def run_cli(capsys, *argv):
@@ -631,6 +633,72 @@ def test_pipeline_that_stops_short_prints_its_report_and_names_the_gap(capsys, t
         f"reconstruction did not converge: gap {metrics['gap']:.6g} above gap_tol "
         f"{ReconstructionConfig.gap_tol:g} after 1 iterations"
     )
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("max_iters, resamples, message", [
+    (80, 0, r"uncorrected reconstruction: reconstruction did not converge: gap \S+ above "
+            r"gap_tol 0.01 after 80 iterations"),
+    (100, 10, r"bootstrap: 5 of 10 resamples failed \(more than 10 %\); the first: "
+              r"reconstruction did not converge: gap \S+ above gap_tol 0.01 after 100 iterations"),
+], ids=["uncorrected", "bootstrap"])
+def test_a_run_with_an_uncertified_estimate_exits_2_after_writing_it(
+    capsys, tmp_path, max_iters, resamples, message
+):
+    # the loss-corrected state certifies, so both runs used to exit 0 with an
+    # uncertified w00_uncorrected or a w00_std from half the resamples
+    config = load_config(SHIPPED / "local.ini")
+    ini = tmp_path / "local.ini"
+    save_config(replace(config, reconstruction=replace(
+        config.reconstruction, max_iters=max_iters, bootstrap_resamples=resamples)), ini)
+    out = tmp_path / "run"
+    rc, stdout, err = run_cli(capsys, "pipeline", "--config", str(ini), "--out", str(out))
+    assert rc == 2
+    error = json.loads(err)
+    assert error["error"] == "numerics"
+    assert re.fullmatch(message, error["message"]), error["message"]
+    metrics = json.loads(stdout)["metrics"]
+    assert metrics["converged"] is True
+    assert metrics["bootstrap_failures"] == (5 if resamples else None)
+    rc, report, _ = run_cli(capsys, "report", "--run", str(out))
+    assert rc == 0
+    assert json.loads(report)["metrics"] == metrics
+
+
+def test_bootstrap_with_more_than_a_tenth_failed_prints_its_receipt_then_exits_2(
+    capsys, tmp_path, monkeypatch
+):
+    rho, _ = make_state(capsys, tmp_path)
+    _stop_second_early(monkeypatch)
+    out_path = tmp_path / "boot.json"
+    rc, out, err = run_cli(
+        capsys, "bootstrap", "--rho", str(rho), "--angles-deg", "0,60,120",
+        "--count", "300", "--nmax", "6", "--resamples", "5", "--seed", "5",
+        "--out", str(out_path),
+    )
+    assert rc == 2
+    receipt = json.loads(out)
+    assert receipt["valid"] is False
+    assert receipt["failures"] == 1
+    assert json.loads(out_path.read_text()) == receipt
+    cause = receipt["failure_causes"][0]
+    assert cause.startswith("reconstruction did not converge: gap ")
+    assert json.loads(err) == {
+        "error": "numerics",
+        "message": f"1 of 5 resamples failed (more than 10 %); the first: {cause}",
+    }
+
+
+def test_report_prints_the_timings_of_the_run(capsys, tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    rc, stdout, _ = run_cli(capsys, "report", "--run", str(out))
+    assert rc == 0
+    timings = json.loads((out / "report.json").read_text())["timings_s"]
+    assert "reconstruct" in timings
+    assert json.loads(stdout)["timings_s"] == timings
 
 
 def test_report_rejects_a_manifest_without_metrics(capsys, tmp_path):

@@ -377,6 +377,21 @@ def test_best_cat_fidelity_purified_kitten():
     assert 0.8 <= alpha_star <= 1.0
 
 
+def test_a_cat_fit_on_its_bound_raises():
+    # the scan ends at alpha = 2: pure cats of 2.2 and 2.5 used to return
+    # (2.0, 0.961) and (2.0, 0.779) without a word
+    def pure_cat(alpha):
+        amps = cat_state(alpha, nmax=30)
+        return FockDensityMatrix(nmax=30, entries=np.outer(amps, amps.conj()))
+
+    for alpha in (2.2, 2.5):
+        with pytest.raises(NumericsError, match="cat fit stalled on its bound alpha = 2"):
+            best_cat_fidelity(pure_cat(alpha))
+    alpha_star, fid = best_cat_fidelity(pure_cat(1.9))
+    assert alpha_star == 1.9
+    assert fid == pytest.approx(1.0, abs=1e-12)
+
+
 def reference_p_lobed_cats(alphas, dim=80):
     """Rows (|i alpha> - |-i alpha>) / norm on `dim` levels, from the coherent amplitudes.
 

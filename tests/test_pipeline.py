@@ -419,6 +419,30 @@ def test_verify_rejects_a_file_the_manifest_does_not_list(tmp_path):
         verify_run_dir(out)
 
 
+@pytest.mark.parametrize("listed", [False, True])
+def test_verify_rejects_a_subdirectory(tmp_path, listed):
+    # a listed one used to pass the name check and raise a raw IsADirectoryError from the hash;
+    # listed or not, it is one error
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    (out / "sub").mkdir()
+    if listed:
+        report = json.loads((out / "report.json").read_text())
+        report["manifest"]["sub"] = hashlib.sha256(b"").hexdigest()
+        (out / "report.json").write_text(json.dumps(report))
+    with pytest.raises(ValidationError, match=re.escape("is not one run: ['sub'] are not files")):
+        verify_run_dir(out)
+
+
+def test_verify_rejects_a_report_that_is_a_directory(tmp_path):
+    out = tmp_path / "run"
+    run_pipeline(small_config(out))
+    (out / "report.json").unlink()
+    (out / "report.json").mkdir()
+    with pytest.raises(ValidationError, match="does not contain report.json"):
+        verify_run_dir(out)
+
+
 def test_one_bootstrap_resample_is_rejected():
     # a std needs two resamples: 1 loaded, and the run failed in its bootstrap stage
     message = "bootstrap_resamples must be 0 (no bootstrap) or >= 2, got 1"

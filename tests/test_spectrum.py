@@ -190,6 +190,13 @@ def test_joint_fit_iteration_cap_returns_flagged_result(monkeypatch):
     assert result.cost >= 0.0  # best-so-far result is still populated
 
 
+def test_a_fit_carries_its_own_verdict(monkeypatch):
+    data = make_data(make_params())
+    assert joint_fit(data, GAMMA).uncertified is None
+    monkeypatch.setattr(spectrum, "MAX_LM_STEPS", 1)
+    assert joint_fit(data, GAMMA).uncertified == "fit did not converge"
+
+
 def test_joint_fit_db_residuals_noiseless_recovery():
     truth = make_params()
     result = joint_fit(make_data(truth), GAMMA, fit_db=True)

@@ -779,7 +779,7 @@ def test_a_floored_bin_voids_the_certificate():
     assert result.metrics["gap"] < 0.0
     assert result.converged is False
     assert result.metrics["converged"] is False
-    assert tomography.uncertified_reason(result.metrics, config.gap_tol) == (
+    assert result.uncertified == (
         "1 observed bin(s) of zero model probability: no state in the Fock space "
         "explains them, so the reconstruction is not certified"
     )
@@ -869,6 +869,38 @@ def test_a_failed_resample_keeps_its_cause(lossy_kitten, monkeypatch, fault, cau
     boot = bootstrap_metric(lossy_kitten, **kwargs)
     assert boot.failure_causes == [cause]
     assert boot.failures == 1
+
+
+def test_a_reconstruction_carries_its_own_verdict():
+    data = vacuum_with_outlier(200, 0.5)
+    certified = mle_reconstruct(data, ReconstructionConfig(nmax=4))
+    assert certified.uncertified is None
+    assert certified.converged is True and certified.metrics["converged"] is True
+    stopped = mle_reconstruct(data, ReconstructionConfig(nmax=4, max_iters=1))
+    assert stopped.uncertified == (
+        f"reconstruction did not converge: gap {stopped.metrics['gap']:.6g} above gap_tol "
+        "0.01 after 1 iterations"
+    )
+    assert stopped.converged is False and stopped.metrics["converged"] is False
+
+
+@pytest.mark.parametrize("n_resamples, uncertified", [
+    (5, "1 of 5 resamples failed (more than 10 %); the first: NumericsError: injected failure"),
+    (10, None),
+], ids=["5", "10"])
+def test_a_bootstrap_with_more_than_a_tenth_failed_is_uncertified(
+    lossy_kitten, monkeypatch, n_resamples, uncertified
+):
+    _raise_on_second_reconstruction(monkeypatch)
+    boot = bootstrap_metric(
+        lossy_kitten,
+        ReconstructionConfig(**PAST_CUTOFF_GRID, eta_correction=HD_ETA),
+        per_angle_counts={0.0: 300, math.pi / 3: 400, math.pi / 2: 350},
+        n_resamples=n_resamples,
+        seed=5,
+    )
+    assert boot.uncertified == uncertified
+    assert boot.valid is (uncertified is None)
 
 
 def test_a_bootstrap_without_two_successes_names_its_first_failure(lossy_kitten):
