@@ -10,7 +10,6 @@ from .errors import KittenError, NumericsError, ValidationError
 from .fock import (
     FockDensityMatrix,
     GaussianStateSpec,
-    annihilation_matrix,
     best_cat_fidelity,
     cat_fidelity,
     cat_state,

@@ -59,9 +59,6 @@ class FockDensityMatrix:
     def dim(self) -> int:
         return self.nmax + 1
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
 
@@ -88,11 +85,6 @@ def _finalize(raw: np.ndarray, *, deficit: float = 0.0) -> FockDensityMatrix:
         raise NumericsError("state has non-positive trace after truncation")
     mat = mat / tr
     return FockDensityMatrix(nmax=mat.shape[0] - 1, entries=mat, trace_deficit=deficit)
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Matrix of the annihilation operator a on a `dim`-level truncated space."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
 def fock_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
@@ -155,11 +147,6 @@ class GaussianStateSpec:
                 f"v_x*v_p = {self.v_x * self.v_p:.6g} violates the uncertainty bound 1/4"
             )
 
-    def purified(self) -> "GaussianStateSpec":
-        """Same squeezing ratio but rescaled onto the minimum-uncertainty shell."""
-        g = math.sqrt(4.0 * self.v_x * self.v_p)
-        return GaussianStateSpec(self.v_x / g, self.v_p / g)
-
 
 def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix:
     """Squeezed thermal state with the requested marginal variances.
@@ -183,7 +170,7 @@ def gaussian_state(spec: GaussianStateSpec, nmax: int = 20) -> FockDensityMatrix
         pops[0] = 1.0
     rho_w = np.diag(pops)
 
-    a = annihilation_matrix(dim_work)
+    a = np.diag(np.sqrt(np.arange(1.0, dim_work)), k=1)  # the annihilation operator
     generator = 0.5 * r * (a @ a - a.T @ a.T)  # real antisymmetric
     # exp(G) = exp(-iH) with H = iG Hermitian; real because G is
     lam, vec = np.linalg.eigh(1j * generator)

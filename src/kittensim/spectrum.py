@@ -53,8 +53,8 @@ def spectral_variances(f, gamma: float, epsilon: float, eta: float):
 
 def dephased_variance(theta, sigma: float, vx, vp):
     """Measured variance at angle theta under Gaussian phase noise of spread sigma."""
-    if sigma < 0.0:
-        raise ValidationError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
     theta = np.asarray(theta, dtype=float)
     damp = math.exp(-2.0 * sigma**2)
     vx_s = 0.5 * (1.0 + damp) * np.asarray(vx) + 0.5 * (1.0 - damp) * np.asarray(vp)
@@ -77,14 +77,14 @@ class SpectrumModelParams:
     theta_true: dict[float, float]
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.epsilon < self.gamma:
             raise ValidationError("epsilon must lie in [0, gamma)")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError("eta must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         for k, v in self.theta_true.items():
             fixed = match_angle(k, _FIXED_ANGLES)
             if fixed is not None and match_angle(v, (fixed,)) is None:

@@ -41,8 +41,8 @@ class TimeTrace:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValidationError("trace values must be a non-empty 1-D array")
-        if self.sample_rate <= 0.0:
-            raise ValidationError("sample_rate must be positive")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValidationError("sample_rate must be positive and finite")
         if not 0 <= self.trigger_index < vals.size:
             raise ValidationError("trigger_index outside the trace")
         object.__setattr__(self, "values", vals)
@@ -64,10 +64,6 @@ class ModeFunction:
         w = np.asarray(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.weights.size) / self.sample_rate
 
 
 def mode_function_eval(t, gamma: float, kappa: float, t0: float = 0.0):
@@ -110,10 +106,10 @@ def build_mode(
     falls outside the window (window too short or t0 badly placed).
     """
     t_start, t_end = window
-    if not t_end > t_start:
-        raise ValidationError("window must satisfy t_end > t_start")
-    if sample_rate <= 0.0:
-        raise ValidationError("sample_rate must be positive")
+    if not -math.inf < t_start < t_end < math.inf:
+        raise ValidationError("window must satisfy t_end > t_start, both finite")
+    if not 0.0 < sample_rate < math.inf:
+        raise ValidationError("sample_rate must be positive and finite")
     if not t_start <= t0 <= t_end:
         raise ValidationError("t0 must lie inside the window")
     n = int(round((t_end - t_start) * sample_rate))

@@ -112,10 +112,6 @@ class BinnedData:
     edges: np.ndarray
     out_of_range_fraction: float
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def bin_dataset(dataset: QuadratureDataset, config: ReconstructionConfig) -> BinnedData:
     """Histogram the samples per nominal angle on the configured bin grid.

@@ -1,6 +1,7 @@
 """Every CSV reader goes through one codec and rejects malformed files alike."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kittensim import (
     save_samples_csv,
 )
 from kittensim.cli import main
-from kittensim.util import read_csv, write_csv
+from kittensim.util import atomic_write_text, read_csv, write_csv
 from test_temporal import traced_peak
 
 SPECTRA = "freq_hz,angle_deg,variance_snu\n1.0,0.0,0.5\n2.0,0.0,0.5\n"
@@ -113,3 +114,11 @@ def test_samples_reader_streams_its_rows(tmp_path):
     dataset, peak = traced_peak(lambda: load_samples_csv(path))
     assert len(dataset) == rows
     assert peak <= 2.1 * (dataset.angles.nbytes + dataset.values.nbytes)
+
+
+def test_a_failed_atomic_write_leaves_no_file(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails after the temp file is made
+    path = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\ud800")
+    assert os.listdir(tmp_path) == []

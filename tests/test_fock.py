@@ -22,6 +22,7 @@ from kittensim import (
     gaussian_state,
     load_config,
     load_density_matrix,
+    loss_adjoint,
     loss_channel,
     mle_reconstruct,
     phase_diffusion,
@@ -62,7 +63,7 @@ def test_gaussian_state_matches_requested_variances(sqz_state):
     assert marginal_variance(sqz_state, math.pi / 2) == pytest.approx(
         variance_from_db(2.4), abs=1e-9
     )
-    assert sqz_state.trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(sqz_state.entries).real == pytest.approx(1.0, abs=1e-12)
     # <n> = (Vx + Vp - 1) / 2 for a zero-mean Gaussian state
     vx, vp = variance_from_db(-2.0), variance_from_db(2.4)
     assert sqz_state.mean_photon() == pytest.approx((vx + vp - 1) / 2, abs=1e-9)
@@ -115,18 +116,11 @@ def test_loss_amplitudes_match_binomial():
         np.testing.assert_allclose(_loss_amplitudes(21, eta, k), expected, rtol=1e-15, atol=0)
 
 
-def test_purified_spec_is_minimum_uncertainty():
-    spec = GaussianStateSpec(variance_from_db(-2.0), variance_from_db(2.4))
-    pure = spec.purified()
-    assert pure.v_x * pure.v_p == pytest.approx(0.25, rel=1e-12)
-    assert pure.v_x / pure.v_p == pytest.approx(spec.v_x / spec.v_p, rel=1e-12)
-
-
 def test_photon_subtract_weight_is_mean_photon(sqz_state):
     rho, weight = photon_subtract(sqz_state)
     assert weight == pytest.approx(sqz_state.mean_photon(), abs=1e-12)
     assert rho.dim == sqz_state.dim - 1
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_photon_subtract_vacuum_rejected():
@@ -156,9 +150,15 @@ def test_loss_channel_preserves_state_properties():
     for _ in range(5):
         rho = FockDensityMatrix(nmax=7, entries=random_density_matrix(rng, 8))
         out = loss_channel(rho, 0.6)
-        assert out.trace() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out.entries, out.entries.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(out.entries).min() > -1e-10
+
+
+def test_loss_channel_refuses_a_matrix_without_trace():
+    # a FockDensityMatrix checks its shape and entries, not its trace, so this reaches _finalize
+    with pytest.raises(NumericsError, match="state has non-positive trace"):
+        loss_channel(FockDensityMatrix(nmax=1, entries=np.zeros((2, 2))), 0.5)
 
 
 def test_loss_channel_vacuum_fixed_point():
@@ -370,7 +370,10 @@ def test_cat_state_truncation_gate():
 
 
 def test_best_cat_fidelity_purified_kitten():
-    spec = GaussianStateSpec(variance_from_db(-2.0), variance_from_db(2.4)).purified()
+    # the kitten's squeezing ratio, rescaled onto the minimum-uncertainty shell v_x v_p = 1/4
+    v_x, v_p = variance_from_db(-2.0), variance_from_db(2.4)
+    g = math.sqrt(4.0 * v_x * v_p)
+    spec = GaussianStateSpec(v_x / g, v_p / g)
     rho, _ = photon_subtract(gaussian_state(spec, nmax=20))
     alpha_star, fid = best_cat_fidelity(rho)
     assert fid >= 0.99
@@ -574,6 +577,33 @@ def test_density_matrix_rejects_non_finite_entries(bad):
     text = '{"nmax": 1, "re": [[NaN, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
     with pytest.raises(ValidationError, match="non-finite"):
         density_matrix_from_json(text)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.eye(2)[:1]),
+     "density matrix must be square, got shape (1, 2)"),
+    (lambda rho: FockDensityMatrix(nmax=2, entries=np.eye(2) / 2),
+     "dimension 2 does not match nmax=2"),
+    (lambda rho: db_from_variance(0.0), "variance must be positive, got 0.0"),
+    (lambda rho: db_from_variance(-0.5), "variance must be positive, got -0.5"),
+    (lambda rho: photon_subtract(FockDensityMatrix(nmax=0, entries=[[1.0]])),
+     "cannot subtract a photon from a 1-level space"),
+    (lambda rho: loss_channel(rho, -0.1), "transmissivity must lie in [0, 1], got -0.1"),
+    (lambda rho: loss_channel(rho, 1.5), "transmissivity must lie in [0, 1], got 1.5"),
+    (lambda rho: loss_adjoint(np.eye(3), 0.0), "adjoint loss needs eta in (0, 1], got 0.0"),
+    (lambda rho: loss_adjoint(np.eye(3), 1.5), "adjoint loss needs eta in (0, 1], got 1.5"),
+    (lambda rho: fidelity(rho, np.ones(3)), "state vector of length (3,) does not match"),
+    (lambda rho: density_matrix_from_json("[1.0"), "malformed density-matrix JSON"),
+    (lambda rho: density_matrix_from_json('{"re": [[1.0]], "im": [[0.0]]}'),
+     "malformed density-matrix JSON: 'nmax'"),
+    (lambda rho: density_matrix_from_json('{"nmax": 0, "re": [["a"]], "im": [[0.0]]}'),
+     "malformed density-matrix JSON"),
+], ids=["not-square", "wrong-size", "db-of-zero", "db-of-negative", "subtract-one-level",
+        "loss-below-0", "loss-above-1", "adjoint-at-0", "adjoint-above-1", "fidelity-length",
+        "json-truncated", "json-no-nmax", "json-text-entry"])
+def test_fock_input_checks(kitten, call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(kitten)
 
 
 def test_constructors_and_channels_pass_validate(sqz_state, kitten, lossy_kitten):

@@ -150,6 +150,45 @@ def test_a_size_or_count_that_is_not_an_integer_is_rejected(build, arguments, me
         build(**arguments)
 
 
+@pytest.mark.parametrize(
+    "build, arguments, message",
+    [(StateSection, {"v_x_db": -2.0, "v_p_db": 2.4, "purity_mix": -0.1},
+      "purity_mix must lie in [0, 1]"),
+     (StateSection, {"v_x_db": -2.0, "v_p_db": 2.4, "purity_mix": 1.5},
+      "purity_mix must lie in [0, 1]"),
+     (ChannelSection, {"link_eta": 0.0}, "link_eta must lie in (0, 1]"),
+     (ChannelSection, {"link_eta": 1.5}, "link_eta must lie in (0, 1]"),
+     (DetectionSection, {"hd_eta": 0.0}, "hd_eta must lie in (0, 1]"),
+     (DetectionSection, {"hd_eta": math.nan}, "hd_eta must lie in (0, 1]"),
+     (SamplingSection, {"angles_deg": ()}, "need at least one sampling angle")],
+    ids=["purity-mix-below-0", "purity-mix-above-1", "link-eta-0", "link-eta-above-1",
+         "hd-eta-0", "hd-eta-nan", "no-angles"],
+)
+def test_a_section_value_out_of_range_is_rejected(build, arguments, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(**arguments)
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, message",
+    [("state", "nmax", "12.5", "[state] nmax: expected an integer, got '12.5'"),
+     ("sampling", "seed", "seven", "[sampling] seed: expected an integer, got 'seven'"),
+     ("channel", "link_eta", "0.9x", "[channel] link_eta: expected a number, got '0.9x'"),
+     ("reconstruction", "gap_tol", "", "[reconstruction] gap_tol: expected a number, got ''")],
+)
+def test_config_rejects_a_number_that_does_not_parse(tmp_path, section, key, raw, message):
+    sections = {"state": {"v_x_db": "-2.0", "v_p_db": "2.4"}}
+    sections.setdefault(section, {})[key] = raw
+    path = tmp_path / "bad.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        for name, body in sections.items()
+    ))
+    with pytest.raises(ValidationError) as err:
+        load_config(path)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
 def test_flags_must_be_bools(flag):
     # "no" and "false" were accepted and read as true

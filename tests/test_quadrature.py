@@ -219,6 +219,23 @@ def test_non_finite_angles_are_rejected(kitten, bad):
         sample_quadratures(kitten, bad, 10, seed=1)
 
 
+@pytest.mark.parametrize("angles", [[], [[0.0, 0.5]]], ids=["none", "2-d"])
+def test_homodyne_cdfs_need_a_list_of_angles(kitten, angles):
+    with pytest.raises(ValidationError, match="need one or more sampling angles"):
+        homodyne_cdfs(kitten, angles)
+
+
+@pytest.mark.parametrize(
+    "seeds, tags",
+    [([1], [0.0, 0.5]), ([1, 2], [0.0]), ([1, 2, 3], [0.0, 0.5])],
+    ids=["one-seed", "one-tag", "three-seeds"],
+)
+def test_draw_homodyne_needs_one_seed_and_one_tag_per_angle(kitten, seeds, tags):
+    cdfs = homodyne_cdfs(kitten, [0.0, 0.5])
+    with pytest.raises(ValidationError, match="each sampling angle needs one seed and one tag"):
+        draw_homodyne(cdfs, 10, seeds, tags)
+
+
 @pytest.mark.parametrize("count", [2.7, -0.5, -1, math.nan, math.inf, True, "3", [3, 1.5]])
 def test_counts_that_are_not_whole_numbers_are_rejected(kitten, count):
     # count=2.7 used to draw 2 samples and count=-0.5 none, without a word

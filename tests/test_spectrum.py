@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,45 @@ def test_spectrum_data_names_the_field_of_a_non_finite_value(name, bad, message)
     target[-1] = bad
     with pytest.raises(ValidationError, match=message):
         SpectrumData(**fields)
+
+
+def make_data_on(freq):
+    params = make_params()
+    return SpectrumData(freq=freq, variances={a: model_spectrum(params, a, freq) for a in NOMINAL})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectral_variances(FREQ, GAMMA, EPSILON, -0.1), "efficiency must lie in [0, 1]"),
+    (lambda: spectral_variances(FREQ, GAMMA, EPSILON, 1.5), "efficiency must lie in [0, 1]"),
+    (lambda: dephased_variance(0.3, -0.1, 0.4, 0.6), "sigma must be"),
+    # NaN gave a NaN variance; inf passed as full dephasing
+    (lambda: dephased_variance(0.3, math.nan, 0.4, 0.6), "sigma must be finite and >= 0, got nan"),
+    (lambda: dephased_variance(0.3, math.inf, 0.4, 0.6), "sigma must be finite and >= 0, got inf"),
+    (lambda: replace(make_params(), gamma=0.0), "gamma must be positive"),
+    (lambda: replace(make_params(), gamma=-GAMMA), "gamma must be positive"),
+    # gamma = inf and sigma = NaN were accepted; a NaN gamma was named as a bad epsilon
+    (lambda: replace(make_params(), gamma=math.inf), "gamma must be positive and finite, got inf"),
+    (lambda: replace(make_params(), gamma=math.nan), "gamma must be positive and finite, got nan"),
+    (lambda: replace(make_params(), epsilon=-1.0), "epsilon must lie in [0, gamma)"),
+    (lambda: replace(make_params(), epsilon=GAMMA), "epsilon must lie in [0, gamma)"),
+    (lambda: replace(make_params(), eta=-0.1), "eta must lie in [0, 1]"),
+    (lambda: replace(make_params(), eta=1.5), "eta must lie in [0, 1]"),
+    (lambda: replace(make_params(), sigma=-0.1), "sigma must be"),
+    (lambda: replace(make_params(), sigma=math.nan), "sigma must be finite and >= 0, got nan"),
+    (lambda: replace(make_params(), sigma=math.inf), "sigma must be finite and >= 0, got inf"),
+    (lambda: SpectrumData(freq=FREQ, variances={0.0: np.full(5, 0.5)}),
+     "variance curve at 0.0 does not match the grid"),
+    (lambda: joint_fit(SpectrumData(freq=FREQ, variances={0.0: np.full(FREQ.size, 0.5)}), GAMMA),
+     "joint fit needs spectra at >= 2 nominal angles"),
+    (lambda: joint_fit(make_data_on(FREQ[:19]), GAMMA), "joint fit needs >= 20 frequency points"),
+], ids=["efficiency-below-0", "efficiency-above-1", "dephasing-sigma-below-0",
+        "dephasing-sigma-nan", "dephasing-sigma-inf", "gamma-0", "gamma-below-0", "gamma-inf",
+        "gamma-nan", "epsilon-below-0", "epsilon-at-gamma", "eta-below-0", "eta-above-1",
+        "sigma-below-0", "sigma-nan", "sigma-inf", "curve-off-grid", "one-angle",
+        "19-frequencies"])
+def test_spectrum_input_checks(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_params_reject_moving_fixed_angles():

@@ -74,13 +74,18 @@ def test_build_mode_keeps_the_mass_of_a_nearly_degenerate_mode(gap):
     assert abs(mode.tail_fraction) < 1e-60
 
 
+def mode_times(mode):
+    """The trace-grid times of the mode's taps."""
+    return mode.t_start + np.arange(mode.weights.size) / mode.sample_rate
+
+
 def reference_mode_weights(mode):
     """The unit-norm weights of `mode` at its float times, in 60-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         gamma, kappa, t0 = (decimal.Decimal(v) for v in (mode.gamma, mode.kappa, mode.t0))
         vals = []
-        for t in mode.times:
+        for t in mode_times(mode):
             tau = abs(decimal.Decimal(float(t)) - t0)
             vals.append((-gamma * tau).exp() / gamma - (-kappa * tau).exp() / kappa)
         norm = sum(v * v for v in vals).sqrt()
@@ -97,7 +102,7 @@ def test_nearly_degenerate_mode_matches_an_extended_precision_reference(gap):
 
 def test_default_mode_keeps_its_weights():
     mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
-    tau = np.abs(mode.times - 0.5e-6)
+    tau = np.abs(mode_times(mode) - 0.5e-6)
     direct = np.exp(-GAMMA * tau) / GAMMA - np.exp(-KAPPA * tau) / KAPPA
     assert np.max(np.abs(mode.weights - direct / np.linalg.norm(direct))) <= 1e-15
     assert np.max(np.abs(mode.weights - reference_mode_weights(mode))) <= 1e-15
@@ -119,7 +124,7 @@ def test_build_mode_shape_and_norm():
     assert np.linalg.norm(mode.weights) == pytest.approx(1.0, rel=1e-12)
     assert mode.tail_fraction < 1e-3
     # peak sits at t0
-    assert abs(mode.times[np.argmax(np.abs(mode.weights))] - 0.5e-6) < 2.0 / FS
+    assert abs(mode_times(mode)[np.argmax(np.abs(mode.weights))] - 0.5e-6) < 2.0 / FS
 
 
 def test_build_mode_rejects_short_window():
@@ -262,6 +267,37 @@ def test_principal_mode_rejects_pure_noise():
         principal_mode(a, b)
 
 
+def ensemble(traces, samples=8):
+    return np.ones((traces, samples))
+
+
+@pytest.mark.parametrize("signal, vacuum, message", [
+    (np.ones(8), ensemble(1000), "ensembles must be 2-D arrays (traces x samples)"),
+    (ensemble(1000), np.ones((1000, 8, 1)), "ensembles must be 2-D arrays (traces x samples)"),
+    (ensemble(1000), ensemble(1000, 9), "signal and vacuum ensembles use different grids"),
+    (ensemble(999), ensemble(1000), "need >= 1000 traces in each ensemble"),
+    (ensemble(1000), ensemble(999), "need >= 1000 traces in each ensemble"),
+])
+def test_principal_mode_rejects_bad_ensembles(signal, vacuum, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        principal_mode(signal, vacuum)
+
+
+def test_principal_mode_rejects_two_equal_modes():
+    # half the traces along tap 0, half along tap 1, over a silent vacuum: the
+    # excess second moment is diag(1, 1, 0, ...), so no one mode dominates
+    signal = np.zeros((1000, 8))
+    signal[::2, 0] = signal[1::2, 1] = math.sqrt(2.0)
+    with pytest.raises(NumericsError, match="top two excess eigenvalues are degenerate"):
+        principal_mode(signal, np.zeros((1000, 8)))
+
+
+def test_shot_noise_scale_rejects_a_silent_vacuum():
+    mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
+    with pytest.raises(NumericsError, match="vacuum ensemble has zero variance"):
+        shot_noise_scale(np.zeros((1000, mode.weights.size)), mode)
+
+
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(83)
     trace = TimeTrace(FS, rng.standard_normal(64), trigger_index=10)
@@ -298,6 +334,9 @@ def test_trace_csv_rejects_malformed_files(tmp_path):
     (np.zeros(4), 0.0, 0, "sample_rate must be positive"),
     (np.zeros(4), FS, 4, "trigger_index outside the trace"),
     (np.zeros(4), FS, -1, "trigger_index outside the trace"),
+    # NaN and inf were accepted, and save_trace_csv wrote a file load_trace_csv refused
+    (np.zeros(4), math.nan, 0, "sample_rate must be positive and finite"),
+    (np.zeros(4), math.inf, 0, "sample_rate must be positive and finite"),
 ])
 def test_time_trace_rejects_bad_inputs(values, sample_rate, trigger_index, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -309,6 +348,11 @@ def test_time_trace_rejects_bad_inputs(values, sample_rate, trigger_index, messa
     (0.5e-6, -FS, (0.0, 1.0e-6), "sample_rate must be positive"),
     (1.5e-6, FS, (0.0, 1.0e-6), "t0 must lie inside the window"),
     (5e-9, FS, (0.0, 10e-9), "window shorter than 8 samples"),
+    # NaN ended in a bare ValueError, and an infinite rate or window end in a bare OverflowError
+    (0.5e-6, math.nan, (0.0, 1.0e-6), "sample_rate must be positive and finite"),
+    (0.5e-6, math.inf, (0.0, 1.0e-6), "sample_rate must be positive and finite"),
+    (0.5e-6, FS, (0.0, math.inf), "window must satisfy t_end > t_start, both finite"),
+    (0.5e-6, FS, (-math.inf, 1.0e-6), "window must satisfy t_end > t_start, both finite"),
 ])
 def test_build_mode_rejects_bad_inputs(t0, sample_rate, window, message):
     with pytest.raises(ValidationError, match=re.escape(message)):

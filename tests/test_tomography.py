@@ -55,7 +55,7 @@ def test_bin_dataset_conserves_counts():
     binned = bin_dataset(
         dataset_from_angle_blocks({0.0: values, math.pi / 2: values[:4]}), config
     )
-    assert binned.total == values.size + 4
+    assert binned.counts.sum() == values.size + 4
     assert binned.counts.shape == (2, 6)
     row = binned.counts[0]
     assert row[0] == 1          # -5.0 in the open lower bin
@@ -72,7 +72,7 @@ def test_bin_dataset_counts_each_sample_once():
         angles=np.array([0.5, 0.5, 0.5 + 1e-12, 1.0]), values=np.array([0.1, -0.2, 0.3, 0.4])
     )
     binned = bin_dataset(dataset, config)
-    assert binned.total == 4
+    assert binned.counts.sum() == 4
     assert binned.counts.sum(axis=1).tolist() == [2.0, 1.0, 1.0]
     # a value on an edge opens the bin above it; the last edge is the open upper bin
     edges = config.bin_edges
@@ -997,3 +997,7 @@ def test_empty_dataset_rejected():
     config = ReconstructionConfig(nmax=4)
     with pytest.raises(ValidationError):
         bin_dataset(dataset_from_angle_blocks({}), config)
+    # a dataset can hold no samples; dataset_from_angle_blocks({}) refuses before binning
+    empty = QuadratureDataset(angles=np.array([]), values=np.array([]))
+    with pytest.raises(ValidationError, match="empty dataset"):
+        bin_dataset(empty, config)
