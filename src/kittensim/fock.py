@@ -32,10 +32,10 @@ _CONSTRUCTOR_PAD = 24
 class FockDensityMatrix:
     """Density matrix on the truncated Fock space span{|0>, ..., |nmax>}.
 
-    Entries are immutable after construction. Constructors in this module
-    guarantee Hermiticity, unit trace and positive semi-definiteness within
-    the module tolerances; `trace_deficit` records the probability mass lost
-    to truncation by the operation that produced the state (0.0 when exact).
+    Entries are immutable after construction. The class guarantees an integer
+    nmax, finite entries, Hermiticity and unit trace within the module
+    tolerances, and a finite `trace_deficit` >= 0: the probability mass lost to
+    truncation by the operation that made the state (0.0 when exact). `validate` checks PSD.
     """
 
     nmax: int
@@ -43,6 +43,7 @@ class FockDensityMatrix:
     trace_deficit: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        require_int(self.nmax, "nmax", 0)
         ent = np.asarray(self.entries, dtype=complex)
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {ent.shape}")
@@ -52,6 +53,12 @@ class FockDensityMatrix:
             )
         if not np.isfinite(ent).all():
             raise ValidationError("density matrix has a non-finite entry")
+        if np.max(np.abs(ent - ent.conj().T)) > HERMITICITY_TOL:
+            raise ValidationError("density matrix is not Hermitian within 1e-12")
+        if abs(np.trace(ent).real - 1.0) > TRACE_TOL or abs(np.trace(ent).imag) > TRACE_TOL:
+            raise ValidationError("density matrix trace differs from 1 beyond 1e-10")
+        if not 0.0 <= self.trace_deficit < math.inf:
+            raise ValidationError(f"trace_deficit must be finite and >= 0, got {self.trace_deficit}")
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -66,24 +73,16 @@ class FockDensityMatrix:
         return float((np.arange(self.dim) * np.diag(self.entries).real).sum())
 
     def validate(self) -> None:
-        """Check the physicality invariants; raise ValidationError on failure."""
-        ent = self.entries
-        if np.max(np.abs(ent - ent.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(ent).real - 1.0) > TRACE_TOL or abs(np.trace(ent).imag) > TRACE_TOL:
-            raise ValidationError("density matrix trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(ent).min() < -PSD_TOL:
+        """Check positive semi-definiteness, the one invariant construction leaves out."""
+        if np.linalg.eigvalsh(self.entries).min() < -PSD_TOL:
             raise ValidationError("density matrix has an eigenvalue below -1e-9")
 
 
 def _finalize(raw: np.ndarray, *, deficit: float = 0.0) -> FockDensityMatrix:
-    """Hermitize, normalize and wrap a raw matrix produced by a channel/constructor."""
+    """Hermitize, normalize and wrap a channel's or constructor's raw matrix of positive trace."""
     mat = np.asarray(raw, dtype=complex)
     mat = 0.5 * (mat + mat.conj().T)
-    tr = np.trace(mat).real
-    if tr <= 0.0:
-        raise NumericsError("state has non-positive trace after truncation")
-    mat = mat / tr
+    mat = mat / np.trace(mat).real
     return FockDensityMatrix(nmax=mat.shape[0] - 1, entries=mat, trace_deficit=deficit)
 
 
@@ -120,8 +119,8 @@ def variance_from_db(db: float) -> float:
 
 def db_from_variance(variance: float) -> float:
     """Inverse of variance_from_db."""
-    if variance <= 0.0:
-        raise ValidationError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValidationError(f"variance must be positive and finite, got {variance}")
     return 10.0 * math.log10(variance / 0.5)
 
 
@@ -481,7 +480,7 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
     """The state a density-matrix JSON file holds; ValidationError unless it is a state."""
     try:
         payload = json.loads(text)
-        nmax = int(payload["nmax"])
+        nmax = payload["nmax"]
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         deficit = float(payload.get("trace_deficit", 0.0))  # absent from older files
@@ -491,8 +490,6 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
         raise ValidationError(
             f"density-matrix JSON has re of shape {re.shape} but im of shape {im.shape}"
         )
-    if not math.isfinite(deficit):
-        raise ValidationError("density-matrix JSON has a non-finite trace_deficit")
     rho = FockDensityMatrix(nmax=nmax, entries=re + 1j * im, trace_deficit=deficit)
     rho.validate()
     return rho

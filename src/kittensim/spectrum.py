@@ -39,6 +39,8 @@ MAX_LM_STEPS = 500  # Levenberg-Marquardt steps before joint_fit returns a cappe
 
 def spectral_variances(f, gamma: float, epsilon: float, eta: float):
     """(V_x, V_p) sideband variances at Fourier frequency f (Hz)."""
+    if not 0.0 < gamma < math.inf:
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     if not 0.0 <= epsilon < gamma:
         raise ValidationError("pump rate must satisfy 0 <= epsilon < gamma")
     if not 0.0 <= eta <= 1.0:

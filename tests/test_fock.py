@@ -155,12 +155,6 @@ def test_loss_channel_preserves_state_properties():
         assert np.linalg.eigvalsh(out.entries).min() > -1e-10
 
 
-def test_loss_channel_refuses_a_matrix_without_trace():
-    # a FockDensityMatrix checks its shape and entries, not its trace, so this reaches _finalize
-    with pytest.raises(NumericsError, match="state has non-positive trace"):
-        loss_channel(FockDensityMatrix(nmax=1, entries=np.zeros((2, 2))), 0.5)
-
-
 def test_loss_channel_vacuum_fixed_point():
     vac = gaussian_state(GaussianStateSpec(0.5, 0.5), nmax=8)
     out = loss_channel(vac, 0.3)
@@ -584,8 +578,8 @@ def test_density_matrix_rejects_non_finite_entries(bad):
      "density matrix must be square, got shape (1, 2)"),
     (lambda rho: FockDensityMatrix(nmax=2, entries=np.eye(2) / 2),
      "dimension 2 does not match nmax=2"),
-    (lambda rho: db_from_variance(0.0), "variance must be positive, got 0.0"),
-    (lambda rho: db_from_variance(-0.5), "variance must be positive, got -0.5"),
+    (lambda rho: db_from_variance(0.0), "variance must be positive and finite, got 0.0"),
+    (lambda rho: db_from_variance(-0.5), "variance must be positive and finite, got -0.5"),
     (lambda rho: photon_subtract(FockDensityMatrix(nmax=0, entries=[[1.0]])),
      "cannot subtract a photon from a 1-level space"),
     (lambda rho: loss_channel(rho, -0.1), "transmissivity must lie in [0, 1], got -0.1"),
@@ -598,9 +592,40 @@ def test_density_matrix_rejects_non_finite_entries(bad):
      "malformed density-matrix JSON: 'nmax'"),
     (lambda rho: density_matrix_from_json('{"nmax": 0, "re": [["a"]], "im": [[0.0]]}'),
      "malformed density-matrix JSON"),
+    # construction checked shape and finiteness only: a trace-2 "state" went through
+    # phase_diffusion, a zero matrix reached _finalize as a truncation fault, and
+    # sample_quadratures drew from a non-Hermitian matrix as from its Hermitian completion
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.eye(2)),
+     "density matrix trace differs from 1 beyond 1e-10"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.zeros((2, 2))),
+     "density matrix trace differs from 1 beyond 1e-10"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=[[0.5, 0.3], [0.0, 0.5]]),
+     "density matrix is not Hermitian within 1e-12"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=[[0.5, 1e-9], [0.0, 0.5]]),
+     "density matrix is not Hermitian within 1e-12"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=[[0.5 + 2e-10, 0.0], [0.0, 0.5]]),
+     "density matrix trace differs from 1 beyond 1e-10"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.eye(2) / 2, trace_deficit=math.nan),
+     "trace_deficit must be finite and >= 0, got nan"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.eye(2) / 2, trace_deficit=math.inf),
+     "trace_deficit must be finite and >= 0, got inf"),
+    (lambda rho: FockDensityMatrix(nmax=1, entries=np.eye(2) / 2, trace_deficit=-0.1),
+     "trace_deficit must be finite and >= 0, got -0.1"),
+    # the check was `variance <= 0.0`, which NaN and inf pass
+    (lambda rho: db_from_variance(math.nan), "variance must be positive and finite, got nan"),
+    (lambda rho: db_from_variance(math.inf), "variance must be positive and finite, got inf"),
+    # nmax was not checked for type, and the loader truncated it with int()
+    (lambda rho: FockDensityMatrix(nmax=1.0, entries=np.eye(2) / 2),
+     "nmax must be an integer, got 1.0"),
+    (lambda rho: density_matrix_from_json(
+        '{"nmax": 1.9, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'),
+     "nmax must be an integer, got 1.9"),
 ], ids=["not-square", "wrong-size", "db-of-zero", "db-of-negative", "subtract-one-level",
         "loss-below-0", "loss-above-1", "adjoint-at-0", "adjoint-above-1", "fidelity-length",
-        "json-truncated", "json-no-nmax", "json-text-entry"])
+        "json-truncated", "json-no-nmax", "json-text-entry", "trace-2", "zero-matrix",
+        "not-hermitian", "off-hermitian-by-1e-9", "trace-off-by-2e-10", "deficit-nan",
+        "deficit-inf", "deficit-negative", "db-of-nan", "db-of-inf", "nmax-float",
+        "json-nmax-float"])
 def test_fock_input_checks(kitten, call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call(kitten)
@@ -612,15 +637,8 @@ def test_constructors_and_channels_pass_validate(sqz_state, kitten, lossy_kitten
         rho.validate()
 
 
-@pytest.mark.parametrize(
-    "entries, message",
-    [
-        ([[0.5, 1e-9], [0.0, 0.5]], "not Hermitian"),
-        ([[0.5 + 2e-10, 0.0], [0.0, 0.5]], "trace differs from 1"),
-        ([[1.0 + 2e-9, 0.0], [0.0, -2e-9]], "eigenvalue below"),
-    ],
-)
-def test_validate_names_the_broken_invariant(entries, message):
-    rho = FockDensityMatrix(nmax=1, entries=np.array(entries))
-    with pytest.raises(ValidationError, match=message):
+def test_validate_names_the_broken_invariant():
+    # Hermiticity and the trace are checked at construction (test_fock_input_checks)
+    rho = FockDensityMatrix(nmax=1, entries=np.array([[1.0 + 2e-9, 0.0], [0.0, -2e-9]]))
+    with pytest.raises(ValidationError, match="eigenvalue below"):
         rho.validate()

@@ -175,11 +175,14 @@ def make_data_on(freq):
     (lambda: joint_fit(SpectrumData(freq=FREQ, variances={0.0: np.full(FREQ.size, 0.5)}), GAMMA),
      "joint fit needs spectra at >= 2 nominal angles"),
     (lambda: joint_fit(make_data_on(FREQ[:19]), GAMMA), "joint fit needs >= 20 frequency points"),
+    # 0 <= epsilon < gamma holds at gamma = inf, and the variances came out NaN
+    (lambda: spectral_variances(FREQ, math.inf, EPSILON, 0.5),
+     "gamma must be positive and finite, got inf"),
 ], ids=["efficiency-below-0", "efficiency-above-1", "dephasing-sigma-below-0",
         "dephasing-sigma-nan", "dephasing-sigma-inf", "gamma-0", "gamma-below-0", "gamma-inf",
         "gamma-nan", "epsilon-below-0", "epsilon-at-gamma", "eta-below-0", "eta-above-1",
         "sigma-below-0", "sigma-nan", "sigma-inf", "curve-off-grid", "one-angle",
-        "19-frequencies"])
+        "19-frequencies", "variances-gamma-inf"])
 def test_spectrum_input_checks(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
