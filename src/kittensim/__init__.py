@@ -47,7 +47,6 @@ from .temporal import (
     TimeTrace,
     build_mode,
     extract_ensemble,
-    extract_quadrature,
     load_trace_csv,
     load_trace_dir,
     mode_function_eval,
@@ -89,7 +88,6 @@ from .pipeline import (
     OutputsSection,
     PipelineRun,
     ReconstructionSection,
-    RunReport,
     SamplingSection,
     StateSection,
     apply_link,

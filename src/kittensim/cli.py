@@ -247,10 +247,7 @@ def _cmd_pipeline(args) -> None:
     if args.seed is not None:
         config = replace(config, sampling=replace(config.sampling, seed=args.seed))
     run = run_pipeline(config, out_dir=args.out)
-    primary, other = (run.corrected, run.uncorrected) if run.corrected else (run.uncorrected, None)
-    named = (("", primary), ("uncorrected reconstruction: ", other), ("bootstrap: ", run.bootstrap))
-    reasons = [name + est.uncertified for name, est in named if est and est.uncertified]
-    _emit(run.report.to_json(), uncertified=reasons[0] if reasons else None)
+    _emit(run.report, uncertified=run.uncertified)
 
 
 def _cmd_report(args) -> None:

@@ -481,9 +481,15 @@ def density_matrix_from_json(text: str) -> FockDensityMatrix:
     try:
         payload = json.loads(text)
         nmax = payload["nmax"]
+        deficit = payload.get("trace_deficit", 0.0)  # absent from older files
+        for key, value in ("re", payload["re"]), ("im", payload["im"]), ("trace_deficit", deficit):
+            # numbers only: np.asarray and float() would parse text, and read a bool as 0 or 1
+            if not all(type(v) in (int, float) for v in np.ravel(np.asarray(value, dtype=object))):
+                raise ValidationError(
+                    f"malformed density-matrix JSON: {key} must hold numbers only")
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-        deficit = float(payload.get("trace_deficit", 0.0))  # absent from older files
+        deficit = float(deficit)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
     if re.shape != im.shape:

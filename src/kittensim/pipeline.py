@@ -304,25 +304,23 @@ def detect_and_sample(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RunReport:
-    config: dict
-    metrics: dict
-    manifest: dict
-    timings_s: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-@dataclass
 class PipelineRun:
-    report: RunReport
+    report: dict  # what report.json holds: config, metrics, manifest, timings_s
     source: FockDensityMatrix
     transmitted: FockDensityMatrix
     dataset: QuadratureDataset
     uncorrected: ReconstructionResult
     corrected: ReconstructionResult | None
     bootstrap: BootstrapResult | None
+
+    @property
+    def uncertified(self) -> str | None:
+        """The first uncertified estimate's reason: the primary state, the other, the bootstrap."""
+        other = self.uncorrected if self.corrected else None  # when it is not the primary
+        named = (("", self.corrected or self.uncorrected),
+                 ("uncorrected reconstruction: ", other), ("bootstrap: ", self.bootstrap))
+        reasons = [name + est.uncertified for name, est in named if est and est.uncertified]
+        return reasons[0] if reasons else None
 
 
 def new_output_dir(path) -> Path:
@@ -414,15 +412,11 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> PipelineRun:
             name: sha256_file(out / name) for name in [*states, "samples.csv", "metrics.json"]
         }
 
-    report = RunReport(
-        config=asdict(config),
-        metrics=metrics,
-        manifest=manifest,
-        timings_s=timings,
-    )
-    atomic_write_text(out / "report.json", report.to_json())
+    text = json.dumps({"config": asdict(config), "metrics": metrics, "manifest": manifest,
+                       "timings_s": timings}, indent=2, sort_keys=True)
+    atomic_write_text(out / "report.json", text)
     return PipelineRun(
-        report=report,
+        report=json.loads(text),  # as report.json holds it: the config's tuples as lists
         source=source,
         transmitted=transmitted,
         dataset=dataset,

@@ -143,13 +143,6 @@ def build_mode(
 # Extraction
 # ---------------------------------------------------------------------------
 
-def extract_quadrature(trace: TimeTrace, mode: ModeFunction) -> float:
-    """Project a single trace onto the mode: q = sum_i w_i v_i."""
-    if not math.isclose(trace.sample_rate, mode.sample_rate, rel_tol=1e-9):
-        raise ValidationError("trace and mode sample rates differ")
-    return float(extract_ensemble(trace.values[None], mode)[0])
-
-
 def extract_ensemble(values: np.ndarray, mode: ModeFunction) -> np.ndarray:
     """Project every row of a (traces x samples) array onto the mode."""
     values = np.asarray(values, dtype=float)

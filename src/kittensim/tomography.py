@@ -94,6 +94,11 @@ class ReconstructionConfig:
         overrides = self.angle_overrides or {}
         if not all(map(math.isfinite, [*overrides, *overrides.values()])):
             raise ValidationError("angle_overrides must map finite angles to finite angles")
+        nominal = list(overrides)  # lookup_angle would take the first of two entries for one angle
+        for i, angle in enumerate(nominal):
+            if match_angle(angle, nominal[:i]) is not None:
+                raise ValidationError(
+                    f"angle_overrides name the nominal angle {math.degrees(angle):.4f} deg twice")
         edges = np.linspace(self.bin_min, self.bin_max, round(widths) + 1)
         object.__setattr__(self, "bin_edges", edges)
 

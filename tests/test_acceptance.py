@@ -257,7 +257,7 @@ def test_criterion_5_pipeline_matches_reference_numbers(capsys, tmp_path):
             reconstruction=fast_recon,
             outputs=OutputsSection(str(tmp_path / f"local_{step}")),
         )
-        w_local = run_pipeline(cfg).report.metrics["w00_corrected"]
+        w_local = run_pipeline(cfg).report["metrics"]["w00_corrected"]
         if abs(w_local - target) <= 0.002:
             break
         xi = min(1.0, max(0.0, xi + (target - w_local) / slope))
@@ -275,7 +275,7 @@ def test_criterion_5_pipeline_matches_reference_numbers(capsys, tmp_path):
         reconstruction=replace(tx_cfg.reconstruction, bootstrap_resamples=0),
         outputs=OutputsSection(str(tmp_path / "transmitted")),
     )
-    metrics = run_pipeline(tx_run).report.metrics
+    metrics = run_pipeline(tx_run).report["metrics"]
     elapsed = time.perf_counter() - t0
 
     assert metrics["converged"]

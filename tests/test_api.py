@@ -25,8 +25,7 @@ KEPT_WITHOUT_A_CALLER = {
     "cat_fidelity": "the one-alpha overlap that fidelity(rho, cat_state(...)) is tested against",
     "periodogram": "the estimate synthesized trace spectra are tested against",
     "principal_mode": "acceptance criterion 4, the planted-mode overlap",
-    "cat_state": "the traced benchmark sums its span into fock.prepare_s",
-    "extract_quadrature": "the traced benchmark sums its span into temporal.extract_s",
+    "cat_state": "the reference cat that cat_fidelity is tested against",
 }
 
 

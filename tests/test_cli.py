@@ -224,11 +224,13 @@ def test_identity_angle_table_changes_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "table", ["0:nan,30:31,90:90", "0:inf,30:31,90:90", "0:0,0:5,30:31,90:90",
-              "0:0,,30:31,90:90", "30", "0:0,30:31,90:90,45:80"]
+              "0:0,,30:31,90:90", "30", "0:0,30:31,90:90,45:80",
+              "0:0,30:33.5,30.0000000001:60,90:90"]
 )
 def test_bad_angle_table_exits_1(capsys, tmp_path, table):
     # all but "30" used to run: to a NaN state, or keeping the last entry
-    # for 0 deg, or skipping the empty one or the 45 deg entry with no samples
+    # for 0 deg, or skipping the empty one or the 45 deg entry with no samples,
+    # or keeping the first of two entries for 30 deg
     rc, err, out_rho = _angle_table_run(capsys, tmp_path, "--true-angles-deg", table)
     assert rc == 1
     assert json.loads(err)["error"] == "validation"
@@ -510,9 +512,9 @@ def test_non_finite_state_exits_1(capsys, tmp_path, command, bad):
 def test_a_file_that_holds_no_state_exits_1(capsys, tmp_path, command, case):
     # wigner-grid used to write W(0,0) = 0.509 > 1/pi for the non-PSD matrix; sample
     # exited 2 or ended in a ValueError traceback on a broadcast im
-    real, imag, message = NOT_A_STATE[case]
+    real, imag, deficit, message = NOT_A_STATE[case]
     rho = tmp_path / "rho.json"
-    rho.write_text(json.dumps({"nmax": 2, "re": real, "im": imag}))
+    rho.write_text(json.dumps({"nmax": 2, "re": real, "im": imag, "trace_deficit": deficit}))
     out = tmp_path / "out.csv"
     argv = {
         "wigner-grid": ["--in", str(rho), "--out", str(out)],

@@ -541,12 +541,23 @@ def test_density_matrix_json_rejects_non_hermitian(tmp_path):
         load_density_matrix(path)
 
 
-NOT_A_STATE = {  # density-matrix files of nmax 2 that hold no state: re, im, the loader's reason
-    "not-psd": ([[1.3, 0, 0], [0, -0.3, 0], [0, 0, 0]], [[0] * 3] * 3, "eigenvalue below -1e-9"),
-    "trace-0.75": ([[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0]], [[0] * 3] * 3, "trace differs from 1"),
-    "im-2x2": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[0] * 2] * 2, "im of shape (2, 2)"),
-    "im-row": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [0] * 3, "im of shape (3,)"),
-    "im-scalar": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], 0, "im of shape ()"),
+NOT_A_STATE = {  # density-matrix files of nmax 2 that hold no state: re, im, deficit, the reason
+    "not-psd": ([[1.3, 0, 0], [0, -0.3, 0], [0, 0, 0]], [[0] * 3] * 3, 0.0,
+                "eigenvalue below -1e-9"),
+    "trace-0.75": ([[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0]], [[0] * 3] * 3, 0.0,
+                   "trace differs from 1"),
+    "im-2x2": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[0] * 2] * 2, 0.0, "im of shape (2, 2)"),
+    "im-row": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [0] * 3, 0.0, "im of shape (3,)"),
+    "im-scalar": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], 0, 0.0, "im of shape ()"),
+    # np.asarray and float() parsed text and bools as numbers, so these four loaded as states
+    "re-text": ([["0.5", "0", 0], ["0", "5e-1", 0], [0, 0, 0]], [[0] * 3] * 3, 0.0,
+                "re must hold numbers only"),
+    "im-bool": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[False] * 3] * 3, 0.0,
+                "im must hold numbers only"),
+    "deficit-text": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[0] * 3] * 3, "1e-3",
+                     "trace_deficit must hold numbers only"),
+    "deficit-bool": ([[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], [[0] * 3] * 3, True,
+                     "trace_deficit must hold numbers only"),
 }
 
 
@@ -554,9 +565,9 @@ NOT_A_STATE = {  # density-matrix files of nmax 2 that hold no state: re, im, th
 def test_density_matrix_json_must_hold_a_state(tmp_path, case):
     # the loader checked only the shape of re + 1j im and Hermiticity: a non-PSD
     # matrix or a trace of 0.75 loaded, and an im row or scalar was broadcast
-    real, imag, message = NOT_A_STATE[case]
+    real, imag, deficit, message = NOT_A_STATE[case]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"nmax": 2, "re": real, "im": imag}))
+    path.write_text(json.dumps({"nmax": 2, "re": real, "im": imag, "trace_deficit": deficit}))
     with pytest.raises(ValidationError, match=re.escape(message)):
         load_density_matrix(path)
 

@@ -395,8 +395,25 @@ def test_run_pipeline_is_deterministic(tmp_path):
     bytes_a = (tmp_path / "a" / "metrics.json").read_bytes()
     bytes_b = (tmp_path / "b" / "metrics.json").read_bytes()
     assert bytes_a == bytes_b
-    assert run_a.report.manifest == run_b.report.manifest
-    assert run_a.report.metrics["converged"]
+    assert run_a.report["manifest"] == run_b.report["manifest"]
+    assert run_a.report["metrics"]["converged"]
+
+
+def test_the_run_report_is_what_report_json_holds(tmp_path):
+    out = tmp_path / "run"
+    run = run_pipeline(small_config(tmp_path / "unused"), out_dir=out)
+    assert run.report == json.loads((out / "report.json").read_text())
+    assert run.uncertified is None
+
+
+def test_a_run_names_its_first_uncertified_estimate(tmp_path):
+    # at 80 iterations the loss-corrected state of local.ini certifies and the uncorrected does not
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "local.ini")
+    run = run_pipeline(replace(config, reconstruction=replace(
+        config.reconstruction, max_iters=80, bootstrap_resamples=0)), out_dir=tmp_path / "run")
+    assert run.corrected.uncertified is None
+    assert run.uncertified.startswith(
+        "uncorrected reconstruction: reconstruction did not converge"), run.uncertified
 
 
 def test_run_artifacts_and_verification(tmp_path):
@@ -414,7 +431,7 @@ def test_run_artifacts_and_verification(tmp_path):
         assert (out / name).exists()
 
     report = verify_run_dir(out)
-    assert report["metrics"]["w00"] == run.report.metrics["w00"]
+    assert report["metrics"]["w00"] == run.report["metrics"]["w00"]
 
     with open(out / "samples.csv", "a", encoding="utf-8") as fh:
         fh.write("0.0,0.123\n")
@@ -499,7 +516,7 @@ def test_verify_returns_the_hashed_metrics(tmp_path):
     report = json.loads((out / "report.json").read_text())
     report["metrics"]["w00"] = 0.25
     (out / "report.json").write_text(json.dumps(report))
-    assert verify_run_dir(out)["metrics"] == run.report.metrics
+    assert verify_run_dir(out)["metrics"] == run.report["metrics"]
 
 
 def test_metrics_json_carries_the_reconstruction_record(tmp_path):
@@ -509,7 +526,7 @@ def test_metrics_json_carries_the_reconstruction_record(tmp_path):
     run = run_pipeline(small_config(out))
     written = json.loads((out / "metrics.json").read_text())
     for key in ("floored_bins", "out_of_range_fraction", "total_counts"):
-        assert written[key] == run.corrected.metrics[key] == run.report.metrics[key], key
+        assert written[key] == run.corrected.metrics[key] == run.report["metrics"][key], key
     assert written["total_counts"] == 3 * 400
     assert written["floored_bins"] == 0
 
@@ -519,7 +536,7 @@ def test_stagewise_run_matches_pipeline(tmp_path):
     run = run_pipeline(config)
 
     source, weight = simulate_source_state(config.state)
-    assert weight == run.report.metrics["subtract_weight"]
+    assert weight == run.report["metrics"]["subtract_weight"]
     transmitted = apply_link(source, config.channel)
     detected = loss_channel(transmitted, config.detection.hd_eta)
     angles = [math.radians(a) for a in config.sampling.angles_deg]
@@ -543,8 +560,8 @@ def test_metrics_without_loss_correction(tmp_path):
     )
     run = run_pipeline(config)
     assert run.corrected is None
-    assert run.report.metrics["w00_corrected"] is None
-    assert run.report.metrics["w00"] == run.report.metrics["w00_uncorrected"]
+    assert run.report["metrics"]["w00_corrected"] is None
+    assert run.report["metrics"]["w00"] == run.report["metrics"]["w00_uncorrected"]
 
 
 def test_metrics_without_subtraction(tmp_path):
@@ -553,8 +570,8 @@ def test_metrics_without_subtraction(tmp_path):
         state=StateSection(v_x_db=-2.0, v_p_db=2.4, subtract=False, nmax=14),
     )
     run = run_pipeline(config)
-    assert run.report.metrics["subtract_weight"] is None
-    assert run.report.metrics["w00"] > 0.0  # Gaussian states stay positive
+    assert run.report["metrics"]["subtract_weight"] is None
+    assert run.report["metrics"]["w00"] > 0.0  # Gaussian states stay positive
 
 
 def test_bootstrap_metrics_populated(tmp_path):
@@ -567,9 +584,9 @@ def test_bootstrap_metrics_populated(tmp_path):
     )
     run = run_pipeline(config)
     assert run.bootstrap is not None
-    assert run.report.metrics["w00_std"] == run.bootstrap.std
-    assert run.report.metrics["w00_std"] > 0.0
-    assert run.report.metrics["bootstrap_failures"] == 0
+    assert run.report["metrics"]["w00_std"] == run.bootstrap.std
+    assert run.report["metrics"]["w00_std"] > 0.0
+    assert run.report["metrics"]["bootstrap_failures"] == 0
 
 
 def test_purity_mix_records_the_truncation_loss():

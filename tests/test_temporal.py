@@ -13,7 +13,6 @@ from kittensim import (
     NumericsError,
     build_mode,
     extract_ensemble,
-    extract_quadrature,
     load_trace_csv,
     load_trace_dir,
     mode_function_eval,
@@ -136,23 +135,11 @@ def test_build_mode_rejects_short_window():
         build_mode(GAMMA, KAPPA, 2.0e-6, FS, window=(0.0, 1.0e-6))
 
 
-def test_extract_quadrature_linearity():
-    mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
-    rng = np.random.default_rng(5)
-    v1 = rng.standard_normal(mode.weights.size)
-    v2 = rng.standard_normal(mode.weights.size)
-    q1 = extract_quadrature(TimeTrace(FS, v1), mode)
-    q2 = extract_quadrature(TimeTrace(FS, v2), mode)
-    q12 = extract_quadrature(TimeTrace(FS, 2.0 * v1 - 3.0 * v2), mode)
-    assert q12 == pytest.approx(2.0 * q1 - 3.0 * q2, rel=1e-12)
-
-
 def test_extract_rejects_grid_mismatch():
     mode = build_mode(GAMMA, KAPPA, 0.5e-6, FS, window=(0.0, 1.0e-6))
-    with pytest.raises(ValidationError):
-        extract_quadrature(TimeTrace(FS / 2, np.zeros(500)), mode)
-    with pytest.raises(ValidationError):
-        extract_quadrature(TimeTrace(FS, np.zeros(400)), mode)
+    for values in (np.zeros(500), np.zeros((3, 400)), np.zeros((3, 500, 1))):
+        with pytest.raises(ValidationError, match="rows matching the mode length"):
+            extract_ensemble(values, mode)
 
 
 def test_unit_mode_preserves_white_noise_variance():

@@ -315,6 +315,14 @@ def test_angle_overrides_must_cover_dataset(lossy_kitten):
                          n_resamples=2, seed=0)
 
 
+def test_angle_overrides_may_not_name_one_nominal_angle_twice():
+    # lookup_angle took the first key within ANGLE_TOL, so the later entry was dropped unseen
+    table = {0.0: 0.0, math.radians(30.0): math.radians(33.5),
+             math.radians(30.0000000001): math.radians(60.0)}
+    with pytest.raises(ValidationError, match=r"the nominal angle 30\.0000 deg twice"):
+        ReconstructionConfig(angle_overrides=table)
+
+
 def test_a_missing_nominal_angle_raises_the_one_angle_table_message(lossy_kitten):
     # the reconstruction and the spectrum model each wrote their own message
     dataset = small_dataset(lossy_kitten, (0.0, 60.0), 200, seed=9)
